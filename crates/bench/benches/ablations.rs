@@ -13,21 +13,39 @@
 use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use population::{Runner, TrialSettings};
+use population::{
+    ConvergenceSample, RankingProtocol, Runner, Simulation, TrialOutcome, TrialSettings,
+};
 use ssle::adversary;
 use ssle::optimal_silent::{OptimalSilentSsr, OssState};
 use ssle::reset::ResetParams;
 use ssle::sublinear::collision::CollisionParams;
 use ssle::sublinear::SublinearTimeSsr;
 
+/// Whether one seeded trial from `start()` reaches a stable ranking within
+/// 4000·n² interactions.
+fn converges<P: RankingProtocol>(
+    seed: u64,
+    n: usize,
+    start: impl Fn() -> (P, Vec<P::State>) + Sync,
+) -> bool {
+    let settings = TrialSettings::new(1, seed, 4000 * (n as u64).pow(2), 4 * n as u64);
+    let trials = Runner::new(settings).run(
+        1,
+        |trial, _, exec_seed| {
+            let (protocol, initial) = start();
+            TrialOutcome::ranked(trial, Simulation::new(protocol, initial, exec_seed), &settings)
+        },
+        |_| {},
+    );
+    ConvergenceSample::from_trials(&trials).all_converged()
+}
+
 fn run_oss(n: usize, d_max_mult: u32, r_max_mult: f64, seed: u64) {
     let r_max = ResetParams::r_max_for(n, r_max_mult);
     let reset = ResetParams::new(r_max, d_max_mult * n as u32).expect("positive");
     let protocol = OptimalSilentSsr::with_params(n, 10 * n as u32, reset);
-    let settings = TrialSettings::new(1, seed, 4000 * (n as u64).pow(2), 4 * n as u64);
-    let sample =
-        Runner::new(settings).measure_ranking(|_, _| (protocol, vec![OssState::settled(1, 0); n]));
-    assert!(sample.all_converged());
+    assert!(converges(seed, n, || (protocol, vec![OssState::settled(1, 0); n])));
 }
 
 fn run_sublinear(n: usize, h: u32, t_h_mult: f64, seed: u64) {
@@ -40,11 +58,9 @@ fn run_sublinear(n: usize, h: u32, t_h_mult: f64, seed: u64) {
     let r_max = ResetParams::r_max_for(n, 4.0);
     let reset = ResetParams::new(r_max, (2 * r_max).max(2 * name_bits as u32)).expect("positive");
     let protocol = SublinearTimeSsr::with_params(n, name_bits, collision, reset);
-    let settings = TrialSettings::new(1, seed, 4000 * (n as u64).pow(2), 4 * n as u64);
-    let sample = Runner::new(settings).measure_ranking(|_, _| {
+    assert!(converges(seed, n, || {
         (protocol.clone(), adversary::planted_collision_configuration(&protocol))
-    });
-    assert!(sample.all_converged());
+    }));
 }
 
 fn bench_ablations(c: &mut Criterion) {

@@ -45,8 +45,8 @@ use std::hash::Hash;
 
 use population::record::{to_jsonl_mixed, RecordLine};
 use population::{
-    ByzantineSet, ChurnPlan, Corruptor, DynamicsTrialOutcome, FaultPlan, Progress, Runner,
-    TrialSettings,
+    timed, BatchSimulation, ByzantineSet, ChurnPlan, Corruptor, DynamicsTrialOutcome, FaultPlan,
+    Progress, Runner, Simulation, TrialSettings,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -117,17 +117,31 @@ fn cell_plan(rate: f64, byz: f64, budget: u64, seed: u64) -> ChurnPlan {
     }
 }
 
+/// One trial's protocol, adversarial random start, churn plan, and
+/// Byzantine set for the `(rate, byz)` cell, drawn from the trial's config
+/// RNG so the grid is deterministic in the base seed.
+fn cell_start<P: Corruptor>(
+    make_protocol: impl Fn() -> P,
+    rate: f64,
+    byz: f64,
+    budget: u64,
+    rng: &mut SmallRng,
+) -> (P, Vec<P::State>, ChurnPlan, ByzantineSet) {
+    let protocol = make_protocol();
+    let initial = adversary::random_configuration(&protocol, rng);
+    let churn = cell_plan(rate, byz, budget, rng.gen());
+    let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
+    (protocol, initial, churn, byzset)
+}
+
 /// Runs one grid cell on the agent-array backend: `trials` soak-style runs
 /// under sustained replacement churn at `rate` and Byzantine fraction
-/// `byz`. Per-trial churn/Byzantine seeds come from the per-trial config
-/// RNG, so the grid is deterministic in the base seed.
+/// `byz`.
 fn cell<P, M>(
     make_protocol: M,
     rate: f64,
     byz: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
 ) -> Vec<DynamicsTrialOutcome>
 where
@@ -135,15 +149,15 @@ where
     P::State: Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let churn = cell_plan(rate, byz, budget, rng.gen());
-        let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
-        (protocol, initial, FaultPlan::none(), churn, byzset)
+    let budget = settings.max_interactions;
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, churn, byzset) = cell_start(&make_protocol, rate, byz, budget, rng);
+        let n = initial.len();
+        let mut sim = Simulation::new(protocol, initial, seed).with_fault_plan(&FaultPlan::none());
+        let (report, wall) = timed(|| sim.run_dynamics(&churn, &byzset, budget));
+        DynamicsTrialOutcome { trial, n, report, wall }
     };
-    Runner::new(settings).run_dynamics_trials_parallel(threads, make)
+    Runner::new(settings).run(threads, body, |_| {})
 }
 
 /// [`cell`] on the count-based backend (lumped Byzantine model).
@@ -151,9 +165,7 @@ fn cell_counts<P, M>(
     make_protocol: M,
     rate: f64,
     byz: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
 ) -> Vec<DynamicsTrialOutcome>
 where
@@ -161,15 +173,16 @@ where
     P::State: Eq + Hash + Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let churn = cell_plan(rate, byz, budget, rng.gen());
-        let byzset = ByzantineSet { fraction: byz, seed: rng.gen() };
-        (protocol, initial, FaultPlan::none(), churn, byzset)
+    let budget = settings.max_interactions;
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, churn, byzset) = cell_start(&make_protocol, rate, byz, budget, rng);
+        let n = initial.len();
+        let mut sim =
+            BatchSimulation::new(protocol, initial, seed).with_fault_plan(&FaultPlan::none());
+        let (report, wall) = timed(|| sim.run_dynamics(&churn, &byzset, budget));
+        DynamicsTrialOutcome { trial, n, report, wall }
     };
-    Runner::new(settings).run_dynamics_trials_counts_parallel(threads, make)
+    Runner::new(settings).run(threads, body, |_| {})
 }
 
 /// Runs the full churn × Byzantine grid for one (protocol, backend) pair
@@ -246,6 +259,7 @@ fn main() {
     let time: f64 = flags.get("time", if quick { 600.0 } else { 2_000.0 });
     let threads = flags.threads();
     let budget = (time * n as f64).ceil() as u64;
+    let settings = TrialSettings::new(trials, seed, budget, 0);
     let (rates, fractions) = grid(quick);
     // ciw/oss run on both backends; sublinear states are unhashable, so it
     // runs on the agent array only.
@@ -275,7 +289,7 @@ fn main() {
         &mut records,
         &mut meter,
         &mut cells_done,
-        |rate, byz| cell(|| CaiIzumiWada::new(n), rate, byz, trials, seed, budget, threads),
+        |rate, byz| cell(|| CaiIzumiWada::new(n), rate, byz, settings, threads),
     );
     run_grid(
         "Silent-n-state-SSR [Cai–Izumi–Wada]",
@@ -288,7 +302,7 @@ fn main() {
         &mut records,
         &mut meter,
         &mut cells_done,
-        |rate, byz| cell_counts(|| CaiIzumiWada::new(n), rate, byz, trials, seed, budget, threads),
+        |rate, byz| cell_counts(|| CaiIzumiWada::new(n), rate, byz, settings, threads),
     );
     run_grid(
         "Optimal-Silent-SSR",
@@ -301,7 +315,7 @@ fn main() {
         &mut records,
         &mut meter,
         &mut cells_done,
-        |rate, byz| cell(|| OptimalSilentSsr::new(n), rate, byz, trials, seed, budget, threads),
+        |rate, byz| cell(|| OptimalSilentSsr::new(n), rate, byz, settings, threads),
     );
     run_grid(
         "Optimal-Silent-SSR",
@@ -314,9 +328,7 @@ fn main() {
         &mut records,
         &mut meter,
         &mut cells_done,
-        |rate, byz| {
-            cell_counts(|| OptimalSilentSsr::new(n), rate, byz, trials, seed, budget, threads)
-        },
+        |rate, byz| cell_counts(|| OptimalSilentSsr::new(n), rate, byz, settings, threads),
     );
     run_grid(
         &format!("Sublinear-Time-SSR, H = {h}"),
@@ -329,7 +341,7 @@ fn main() {
         &mut records,
         &mut meter,
         &mut cells_done,
-        |rate, byz| cell(|| SublinearTimeSsr::new(n, h), rate, byz, trials, seed, budget, threads),
+        |rate, byz| cell(|| SublinearTimeSsr::new(n, h), rate, byz, settings, threads),
     );
     meter.finish(cells_done, "grid complete");
 

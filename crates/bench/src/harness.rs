@@ -8,12 +8,15 @@
 //! count; per-trial seeding makes the outcomes independent of it.
 
 use population::{
-    AnyScheduler, ChaosTrialOutcome, ConvergenceSample, FaultAction, FaultPlan, FaultSize,
-    Reliability, Runner, TrialOutcome, TrialSettings,
+    timed, AnyScheduler, BatchSimulation, ChaosTrialOutcome, ConvergenceSample, Corruptor,
+    FaultAction, FaultPlan, FaultSize, Protocol, RankingProtocol, Reliability, RunOutcome, Runner,
+    Simulation, SimulationBackend, TrialOutcome, TrialSettings,
 };
+use rand::rngs::SmallRng;
+use rand::Rng;
 use ssle::adversary;
-use ssle::cai_izumi_wada::CaiIzumiWada;
-use ssle::optimal_silent::OptimalSilentSsr;
+use ssle::cai_izumi_wada::{CaiIzumiWada, CiwState};
+use ssle::optimal_silent::{OptimalSilentSsr, OssState};
 use ssle::sublinear::SublinearTimeSsr;
 
 /// Starting configuration family for Silent-n-state-SSR.
@@ -73,6 +76,57 @@ fn sublinear_budget(n: usize) -> u64 {
     400 * (n as u64).pow(2)
 }
 
+/// The Silent-n-state-SSR initial configuration for `start`.
+fn ciw_initial(protocol: &CaiIzumiWada, start: CiwStart, rng: &mut SmallRng) -> Vec<CiwState> {
+    match start {
+        CiwStart::Random => adversary::random_ciw_configuration(protocol, rng),
+        CiwStart::Barrier => protocol.worst_case_configuration(),
+        CiwStart::AllZero => vec![CiwState::new(0); protocol.population_size()],
+    }
+}
+
+/// The Optimal-Silent-SSR initial configuration for `start`.
+fn oss_initial(protocol: &OptimalSilentSsr, start: OssStart, rng: &mut SmallRng) -> Vec<OssState> {
+    match start {
+        OssStart::Random => adversary::random_oss_configuration(protocol, rng),
+        OssStart::AllRankOne => vec![OssState::settled(1, 0); protocol.population_size()],
+        OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(protocol),
+    }
+}
+
+/// The Sublinear-Time-SSR initial configuration for `start`.
+fn sublinear_initial(
+    protocol: &SublinearTimeSsr,
+    start: SubStart,
+    rng: &mut SmallRng,
+) -> Vec<<SublinearTimeSsr as Protocol>::State> {
+    match start {
+        SubStart::Random => adversary::random_sublinear_configuration(protocol, rng),
+        SubStart::UniqueNames => adversary::unique_names_configuration(protocol),
+        SubStart::PlantedCollision => adversary::planted_collision_configuration(protocol),
+        SubStart::GhostName => adversary::ghost_name_configuration(protocol),
+    }
+}
+
+/// Ranked trials over `threads` workers: `sim(config_rng, exec_seed)`
+/// builds each trial's simulation, which runs to a stable ranking under
+/// `settings`.
+fn ranked_trials<P, B>(
+    settings: TrialSettings,
+    threads: usize,
+    sim: impl Fn(&mut SmallRng, u64) -> B + Sync,
+) -> Vec<TrialOutcome>
+where
+    P: RankingProtocol,
+    B: SimulationBackend<P>,
+{
+    Runner::new(settings).run(
+        threads,
+        |trial, rng, seed| TrialOutcome::ranked(trial, sim(rng, seed), &settings),
+        |_| {},
+    )
+}
+
 /// Measures Silent-n-state-SSR stabilization times with the **exact jump
 /// chain** ([`ssle::ciw_fast`]) instead of the generic engine — identical
 /// distribution, Θ(n) fewer scheduler draws, enabling the Θ(n²) baseline at
@@ -96,31 +150,20 @@ pub fn measure_ciw_fast_trials(
     trials: u64,
     base_seed: u64,
 ) -> Vec<TrialOutcome> {
-    use population::runner::{derive_seed, rng_from_seed};
-    use population::RunOutcome;
     use ssle::ciw_fast::{stabilization_interactions, CiwCounts};
     let protocol = CaiIzumiWada::new(n);
-    let mut out = Vec::with_capacity(trials as usize);
-    for trial in 0..trials {
-        let mut config_rng = rng_from_seed(derive_seed(base_seed, 2 * trial));
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, &mut config_rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        let started = std::time::Instant::now();
-        let interactions = stabilization_interactions(
-            CiwCounts::from_states(&initial),
-            derive_seed(base_seed, 2 * trial + 1),
-        );
-        out.push(TrialOutcome {
-            trial,
-            n,
-            outcome: RunOutcome::Converged { interactions },
-            wall: started.elapsed(),
-        });
-    }
-    out
+    // The jump chain always runs to stabilization: no budget applies.
+    let settings = TrialSettings::new(trials, base_seed, u64::MAX, 0);
+    Runner::new(settings).run(
+        1,
+        |trial, rng, seed| {
+            let initial = ciw_initial(&protocol, start, rng);
+            let (interactions, wall) =
+                timed(|| stabilization_interactions(CiwCounts::from_states(&initial), seed));
+            TrialOutcome { trial, n, outcome: RunOutcome::Converged { interactions }, wall }
+        },
+        |_| {},
+    )
 }
 
 /// Measures Silent-n-state-SSR stabilization times over `trials` runs.
@@ -137,14 +180,10 @@ pub fn measure_ciw_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        (protocol, initial)
+        let initial = ciw_initial(&protocol, start, rng);
+        Simulation::new(protocol, initial, seed)
     })
 }
 
@@ -162,20 +201,16 @@ pub fn measure_oss_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        (protocol, initial)
+        let initial = oss_initial(&protocol, start, rng);
+        Simulation::new(protocol, initial, seed)
     })
 }
 
 /// [`measure_ciw_trials`] on the count-based backend: same protocol, same
 /// start families, same per-trial seed derivation, executed by
-/// [`population::BatchSimulation`] instead of the agent array. The two
+/// [`BatchSimulation`] instead of the agent array. The two
 /// backends consume randomness differently, so per-trial outcomes differ,
 /// but the convergence-time *distributions* agree (see the
 /// `backend_equivalence` test suite).
@@ -187,14 +222,10 @@ pub fn measure_ciw_counts_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_counts_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        (protocol, initial)
+        let initial = ciw_initial(&protocol, start, rng);
+        BatchSimulation::new(protocol, initial, seed)
     })
 }
 
@@ -208,14 +239,10 @@ pub fn measure_oss_counts_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_counts_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        (protocol, initial)
+        let initial = oss_initial(&protocol, start, rng);
+        BatchSimulation::new(protocol, initial, seed)
     })
 }
 
@@ -241,15 +268,10 @@ pub fn measure_sublinear_trials(
     threads: usize,
 ) -> Vec<TrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, sublinear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_trials_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = SublinearTimeSsr::new(n, h);
-        let initial = match start {
-            SubStart::Random => adversary::random_sublinear_configuration(&protocol, rng),
-            SubStart::UniqueNames => adversary::unique_names_configuration(&protocol),
-            SubStart::PlantedCollision => adversary::planted_collision_configuration(&protocol),
-            SubStart::GhostName => adversary::ghost_name_configuration(&protocol),
-        };
-        (protocol, initial)
+        let initial = sublinear_initial(&protocol, start, rng);
+        Simulation::new(protocol, initial, seed)
     })
 }
 
@@ -264,6 +286,26 @@ pub fn measure_sublinear_trials(
 fn robustness_budget(base: u64, omission: f64) -> u64 {
     assert!((0.0..1.0).contains(&omission), "omission {omission} outside [0, 1)");
     (base as f64 * 4.0 / (1.0 - omission)).ceil() as u64
+}
+
+/// An agent-array simulation whose pairs are drawn by `scheduler` (a spec
+/// accepted by [`AnyScheduler::from_spec`]) and whose interactions are
+/// each dropped with probability `omission`.
+///
+/// # Panics
+///
+/// Panics if the scheduler spec is malformed.
+fn scheduled<P: RankingProtocol>(
+    protocol: P,
+    initial: Vec<P::State>,
+    scheduler: &str,
+    omission: f64,
+    seed: u64,
+) -> impl SimulationBackend<P> {
+    let policy =
+        AnyScheduler::from_spec(scheduler, initial.len()).expect("scheduler spec validated");
+    Simulation::with_policy(protocol, initial, policy, seed)
+        .with_reliability(Reliability::with_omission(omission))
 }
 
 /// [`measure_ciw_trials`] under an explicit scheduler policy and omission
@@ -287,15 +329,10 @@ pub fn measure_ciw_scheduled_trials(
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(quadratic_budget(n), omission);
     let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = CaiIzumiWada::new(n);
-        let initial = match start {
-            CiwStart::Random => adversary::random_ciw_configuration(&protocol, rng),
-            CiwStart::Barrier => protocol.worst_case_configuration(),
-            CiwStart::AllZero => vec![ssle::cai_izumi_wada::CiwState::new(0); n],
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
+        let initial = ciw_initial(&protocol, start, rng);
+        scheduled(protocol, initial, scheduler, omission, seed)
     })
 }
 
@@ -317,15 +354,10 @@ pub fn measure_oss_scheduled_trials(
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(linear_budget(n), omission);
     let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = OptimalSilentSsr::new(n);
-        let initial = match start {
-            OssStart::Random => adversary::random_oss_configuration(&protocol, rng),
-            OssStart::AllRankOne => vec![ssle::optimal_silent::OssState::settled(1, 0); n],
-            OssStart::DuplicatedLeader => adversary::observation_2_2_configuration(&protocol),
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
+        let initial = oss_initial(&protocol, start, rng);
+        scheduled(protocol, initial, scheduler, omission, seed)
     })
 }
 
@@ -349,28 +381,39 @@ pub fn measure_sublinear_scheduled_trials(
 ) -> Vec<TrialOutcome> {
     let budget = robustness_budget(sublinear_budget(n), omission);
     let settings = TrialSettings::new(trials, base_seed, budget, 4 * n as u64);
-    Runner::new(settings).run_trials_scheduled_parallel(threads, |_, rng| {
+    ranked_trials(settings, threads, |rng, seed| {
         let protocol = SublinearTimeSsr::new(n, h);
-        let initial = match start {
-            SubStart::Random => adversary::random_sublinear_configuration(&protocol, rng),
-            SubStart::UniqueNames => adversary::unique_names_configuration(&protocol),
-            SubStart::PlantedCollision => adversary::planted_collision_configuration(&protocol),
-            SubStart::GhostName => adversary::ghost_name_configuration(&protocol),
-        };
-        let policy = AnyScheduler::from_spec(scheduler, n).expect("scheduler spec validated");
-        (protocol, initial, policy, Reliability::with_omission(omission))
+        let initial = sublinear_initial(&protocol, start, rng);
+        scheduled(protocol, initial, scheduler, omission, seed)
     })
 }
 
-/// The fault plan every recovery trial uses: stabilize from an adversarial
-/// random start, wait one unit of parallel time, then corrupt `size` agents.
+/// Recovery trials over `threads` workers: each stabilizes from the
+/// adversarial random start `protocol_and_initial(config_rng)` builds, waits
+/// one unit of parallel time, then has `size` agents corrupted.
 ///
 /// The single run therefore measures **both** quantities of interest: the
 /// full-stabilization time (first stable ranking) and the recovery time
 /// (the fault's injection-to-reranking gap).
-fn recovery_plan(rng: &mut rand::rngs::SmallRng, n: usize, size: FaultSize) -> FaultPlan {
-    use rand::Rng;
-    FaultPlan::new(rng.gen()).after_convergence(n as u64, FaultAction::CorruptRandom(size))
+fn recovery_trials<P: Corruptor>(
+    settings: TrialSettings,
+    threads: usize,
+    size: FaultSize,
+    protocol_and_initial: impl Fn(&mut SmallRng) -> (P, Vec<P::State>) + Sync,
+) -> Vec<ChaosTrialOutcome> {
+    Runner::new(settings).run(
+        threads,
+        |trial, rng, seed| {
+            let (protocol, initial) = protocol_and_initial(rng);
+            let n = initial.len();
+            let plan = FaultPlan::new(rng.gen())
+                .after_convergence(n as u64, FaultAction::CorruptRandom(size));
+            let mut sim = Simulation::new(protocol, initial, seed).with_fault_plan(&plan);
+            let (report, wall) = timed(|| sim.run_chaos(settings.max_interactions));
+            ChaosTrialOutcome { trial, n, report, wall }
+        },
+        |_| {},
+    )
 }
 
 /// Measures Silent-n-state-SSR recovery from a `size`-agent corruption
@@ -383,11 +426,10 @@ pub fn measure_recovery_ciw_trials(
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, quadratic_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
+    recovery_trials(settings, threads, size, |rng| {
         let protocol = CaiIzumiWada::new(n);
         let initial = adversary::random_ciw_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+        (protocol, initial)
     })
 }
 
@@ -401,11 +443,10 @@ pub fn measure_recovery_oss_trials(
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, linear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
+    recovery_trials(settings, threads, size, |rng| {
         let protocol = OptimalSilentSsr::new(n);
         let initial = adversary::random_oss_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+        (protocol, initial)
     })
 }
 
@@ -420,11 +461,10 @@ pub fn measure_recovery_sublinear_trials(
     threads: usize,
 ) -> Vec<ChaosTrialOutcome> {
     let settings = TrialSettings::new(trials, base_seed, sublinear_budget(n), 4 * n as u64);
-    Runner::new(settings).run_chaos_trials_parallel(threads, |_, rng| {
+    recovery_trials(settings, threads, size, |rng| {
         let protocol = SublinearTimeSsr::new(n, h);
         let initial = adversary::random_sublinear_configuration(&protocol, rng);
-        let plan = recovery_plan(rng, n, size);
-        (protocol, initial, plan)
+        (protocol, initial)
     })
 }
 

@@ -12,8 +12,9 @@
 
 use population::record::{to_jsonl_mixed, RecordLine};
 use population::{
-    AnyScheduler, ByzantineSet, ChaosTrialOutcome, ChurnPlan, Corruptor, DynamicsTrialOutcome,
-    FaultAction, FaultPlan, FaultSize, Metrics, Progress, Runner, SchedulerPolicy, TrialSettings,
+    timed, BatchSimulation, ByzantineSet, ChaosTrialOutcome, ChurnPlan, Corruptor,
+    DynamicsTrialOutcome, FaultAction, FaultPlan, FaultSize, Metrics, Progress, Runner,
+    SchedulerPolicy, Simulation, TrialSettings,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -139,97 +140,77 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
     let trials: u64 = flags.get("trials", 4);
     let threads = flags.threads();
-    // `--progress 1` prints a per-trial heartbeat to stderr; trials then run
-    // sequentially so completions arrive in order (outcomes are identical —
-    // per-trial seeds do not depend on scheduling).
+    // `--progress 1` prints a per-trial heartbeat to stderr as trials
+    // complete, in trial order; it never touches a run.
     let progress = flags.get::<u64>("progress", 0) != 0;
     let period = 1.0 / rate;
     let n = common.n;
     let budget = (time * n as f64).ceil() as u64;
+    let settings = TrialSettings::new(trials, common.seed, budget, 0);
+
+    match (common.protocol, backend) {
+        (ProtocolChoice::Sublinear, BackendChoice::Counts) => {
+            return Err(CliError::BadValue {
+                flag: "backend".into(),
+                reason: "sublinear states are not hashable; the counts backend soaks ciw or \
+                         optimal-silent"
+                    .into(),
+            })
+        }
+        (ProtocolChoice::Loose | ProtocolChoice::TreeRanking, _) => {
+            return Err(CliError::BadValue {
+                flag: "protocol".into(),
+                reason: format!(
+                    "{:?} has no mid-run corruption model; pick ciw, optimal-silent, or sublinear",
+                    common.protocol
+                ),
+            })
+        }
+        _ => {}
+    }
+    // Binds `$make` to the selected protocol's constructor and evaluates
+    // the agents or counts expression for the selected backend (the trial
+    // functions are generic over the protocol type).
+    macro_rules! per_protocol {
+        (|$make:ident| agents: $agents:expr, counts: $counts:expr $(,)?) => {
+            match (common.protocol, backend) {
+                (ProtocolChoice::Ciw, BackendChoice::Agents) => {
+                    let $make = || CaiIzumiWada::new(n);
+                    $agents
+                }
+                (ProtocolChoice::Ciw, BackendChoice::Counts) => {
+                    let $make = || CaiIzumiWada::new(n);
+                    $counts
+                }
+                (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => {
+                    let $make = || OptimalSilentSsr::new(n);
+                    $agents
+                }
+                (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => {
+                    let $make = || OptimalSilentSsr::new(n);
+                    $counts
+                }
+                (ProtocolChoice::Sublinear, BackendChoice::Agents) => {
+                    let $make = || SublinearTimeSsr::new(n, common.h);
+                    $agents
+                }
+                _ => unreachable!("protocol and backend validated above"),
+            }
+        };
+    }
 
     if dynamics {
         // Fault plans stay optional under dynamics: membership events open
         // their own recovery clocks.
         let fault_period = (rate > 0.0).then_some(period);
-        let outcomes = match (common.protocol, backend) {
-            (ProtocolChoice::Ciw, BackendChoice::Agents) => soak_dynamics_trials(
-                || CaiIzumiWada::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
+        let outcomes = per_protocol!(|make|
+            agents: soak_dynamics_trials(
+                make, fault_period, action, &churn, byzantine, settings, threads, progress,
             ),
-            (ProtocolChoice::Ciw, BackendChoice::Counts) => soak_dynamics_trials_counts(
-                || CaiIzumiWada::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
+            counts: soak_dynamics_trials_counts(
+                make, fault_period, action, &churn, byzantine, settings, threads, progress,
             ),
-            (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => soak_dynamics_trials(
-                || OptimalSilentSsr::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => soak_dynamics_trials_counts(
-                || OptimalSilentSsr::new(n),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::Sublinear, BackendChoice::Agents) => soak_dynamics_trials(
-                || SublinearTimeSsr::new(n, common.h),
-                fault_period,
-                action,
-                &churn,
-                byzantine,
-                trials,
-                common.seed,
-                budget,
-                threads,
-                progress,
-            ),
-            (ProtocolChoice::Sublinear, BackendChoice::Counts) => {
-                return Err(CliError::BadValue {
-                    flag: "backend".into(),
-                    reason: "sublinear states are not hashable; the counts backend soaks \
-                             ciw or optimal-silent"
-                        .into(),
-                })
-            }
-            (other, _) => {
-                return Err(CliError::BadValue {
-                    flag: "protocol".into(),
-                    reason: format!(
-                        "{other:?} has no mid-run corruption model; pick ciw, optimal-silent, \
-                         or sublinear"
-                    ),
-                })
-            }
-        };
+        );
         if let Some(path) = flags.try_get_str("json-out") {
             let h = protocol_h(common.protocol, common.h);
             let label = protocol_label(common.protocol);
@@ -263,84 +244,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         });
     }
 
-    let (outcomes, trial_metrics) = match (common.protocol, backend) {
-        (ProtocolChoice::Ciw, BackendChoice::Agents) => soak_trials(
-            || CaiIzumiWada::new(n),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
+    let trials = per_protocol!(|make|
+        agents: soak_trials(
+            make, &robust, period, action, settings, threads, progress, collect_metrics,
         ),
-        (ProtocolChoice::Ciw, BackendChoice::Counts) => soak_trials_counts(
-            || CaiIzumiWada::new(n),
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::OptimalSilent, BackendChoice::Agents) => soak_trials(
-            || OptimalSilentSsr::new(n),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::OptimalSilent, BackendChoice::Counts) => soak_trials_counts(
-            || OptimalSilentSsr::new(n),
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::Sublinear, BackendChoice::Agents) => soak_trials(
-            || SublinearTimeSsr::new(n, common.h),
-            &robust,
-            period,
-            action,
-            trials,
-            common.seed,
-            budget,
-            threads,
-            progress,
-            collect_metrics,
-        ),
-        (ProtocolChoice::Sublinear, BackendChoice::Counts) => {
-            return Err(CliError::BadValue {
-                flag: "backend".into(),
-                reason: "sublinear states are not hashable; the counts backend soaks \
-                         ciw or optimal-silent"
-                    .into(),
-            })
-        }
-        (other, _) => {
-            return Err(CliError::BadValue {
-                flag: "protocol".into(),
-                reason: format!(
-                    "{:?} has no mid-run corruption model; pick ciw, optimal-silent, or sublinear",
-                    other
-                ),
-            })
-        }
-    };
+        counts: soak_trials_counts(make, period, action, settings, threads, progress, collect_metrics),
+    );
 
+    let (outcomes, trial_metrics): (Vec<_>, Vec<_>) = trials.into_iter().unzip();
     if let Some(path) = &metrics_path {
         // One schema-v5 row per trial plus a merged cross-trial row
         // (`trial: null`) so `ssle report --metrics` can render both the
@@ -349,7 +260,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         let mut records: Vec<RecordLine> = Vec::new();
         let mut merged = Metrics::new();
         let mut merged_wall = 0.0;
-        for (o, m) in outcomes.iter().zip(&trial_metrics) {
+        for (o, m) in outcomes.iter().zip(trial_metrics.iter().flatten()) {
             merged.merge_from(m);
             let wall = o.wall.as_secs_f64();
             merged_wall += wall;
@@ -467,119 +378,105 @@ fn parse_action(name: &str, size: FaultSize) -> Result<FaultAction, CliError> {
     }
 }
 
-/// A per-trial heartbeat meter for `--progress` soaks: total work is the
-/// whole batch's interaction budget, so the rate line reads in
-/// interactions/second with an ETA over the remaining trials.
-fn soak_meter(trials: u64, budget: u64, progress: bool) -> Progress {
-    if progress {
-        Progress::new("soak", trials.saturating_mul(budget), "interactions")
-    } else {
-        Progress::disabled()
-    }
+/// Runs the soak's trials over `threads` workers with `body` (see
+/// [`Runner::run`]). With `progress`, a heartbeat goes to stderr as each
+/// trial completes, in trial order: total work is the whole batch's
+/// interaction budget, so the rate line reads in interactions/second with
+/// an ETA over the remaining trials.
+fn run_soak<T: Send>(
+    settings: TrialSettings,
+    threads: usize,
+    progress: bool,
+    body: impl Fn(u64, &mut SmallRng, u64) -> T + Sync,
+    detail: impl Fn(&T) -> (u64, String),
+) -> Vec<T> {
+    let total = settings.trials.saturating_mul(settings.max_interactions);
+    let mut meter =
+        if progress { Progress::new("soak", total, "interactions") } else { Progress::disabled() };
+    let out = Runner::new(settings).run(threads, body, |o| {
+        let (trial, detail) = detail(o);
+        meter.tick((trial + 1).saturating_mul(settings.max_interactions), &detail);
+    });
+    meter.finish(total, "done");
+    out
 }
 
-/// The heartbeat detail for one finished trial.
-fn soak_detail(o: &ChaosTrialOutcome) -> String {
-    format!(
+/// The heartbeat detail for one finished chaos trial, plus engine
+/// throughput for instrumented soaks: the interactions-per-second figure
+/// comes from the metrics counters rather than the meter's own budget
+/// arithmetic, so it reflects work actually performed.
+fn soak_detail((o, metrics): &(ChaosTrialOutcome, Option<Metrics>)) -> (u64, String) {
+    let mut detail = format!(
         "trial {}: {} fault(s), avail {:.3}",
         o.trial,
         o.report.faults.len(),
         o.report.availability()
-    )
+    );
+    if let Some(m) = metrics {
+        let wall = o.wall.as_secs_f64();
+        if wall > 0.0 {
+            detail.push_str(&format!(", {:.2e} ips", m.total_interactions() as f64 / wall));
+        } else {
+            detail.push_str(", - ips");
+        }
+    }
+    (o.trial, detail)
 }
 
-/// [`soak_detail`] plus engine throughput, for instrumented soaks: the
-/// interactions-per-second figure comes from the metrics counters rather
-/// than the meter's own budget arithmetic, so it reflects work actually
-/// performed.
-fn soak_metrics_detail(o: &ChaosTrialOutcome, m: &Metrics) -> String {
-    let wall = o.wall.as_secs_f64();
-    let ips = if wall > 0.0 {
-        format!("{:.2e}", m.total_interactions() as f64 / wall)
-    } else {
-        "-".into()
+/// One soak trial's protocol, adversarial random start, and repeating
+/// fault plan (every `period` parallel-time units, when given), drawn from
+/// the trial's config RNG.
+fn soak_start<P: Corruptor>(
+    make_protocol: impl Fn() -> P,
+    period: Option<f64>,
+    action: FaultAction,
+    rng: &mut SmallRng,
+) -> (P, Vec<P::State>, FaultPlan) {
+    let protocol = make_protocol();
+    let initial = adversary::random_configuration(&protocol, rng);
+    let plan = match period {
+        Some(p) => FaultPlan::new(rng.gen()).every_parallel_time(p, action),
+        None => FaultPlan::none(),
     };
-    format!("{}, {ips} ips", soak_detail(o))
+    (protocol, initial, plan)
 }
 
-/// Runs the soak trials for one protocol type: adversarial random start,
-/// repeating fault plan, fixed interaction budget. Default robustness flags
-/// take the original chaos path so uniform/perfect soaks stay bit-identical
-/// with earlier releases; anything else routes through the scheduled runner.
-/// With `progress`, trials run sequentially through the observed runners
-/// and a heartbeat is printed to stderr after each one. With `metrics`,
-/// trials run sequentially through the instrumented runner (uniform
-/// complete scheduling only — `run` rejects the combination otherwise) and
-/// the per-trial sinks come back alongside the outcomes; the returned
-/// metrics vector is empty otherwise.
-#[allow(clippy::too_many_arguments)] // the robustness flags push past 7
+/// Chaos soak trials on the agent-array backend under the `robust`
+/// scheduler and omission model: adversarial random start, repeating fault
+/// plan, fixed interaction budget. With `metrics`, each trial carries the
+/// recording sink it ran with (uniform complete scheduling only — `run`
+/// rejects the combination otherwise).
+#[allow(clippy::too_many_arguments)]
 fn soak_trials<P, M>(
     make_protocol: M,
     robust: &RobustnessFlags,
     period: f64,
     action: FaultAction,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
     progress: bool,
     metrics: bool,
-) -> (Vec<ChaosTrialOutcome>, Vec<Metrics>)
+) -> Vec<(ChaosTrialOutcome, Option<Metrics>)>
 where
     P: Corruptor + Send,
     P::State: Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = FaultPlan::new(rng.gen()).every_parallel_time(period, action);
-        (protocol, initial, plan)
-    };
-    if metrics {
-        let mut meter = soak_meter(trials, budget, progress);
-        let out = Runner::new(settings).run_chaos_trials_metrics(make, |o, m| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_metrics_detail(o, m));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        return out.into_iter().unzip();
-    }
-    let outcomes = if robust.is_default() {
-        if progress {
-            let mut meter = soak_meter(trials, budget, true);
-            let out = Runner::new(settings).run_chaos_trials_observed(make, |o| {
-                meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
-            });
-            meter.finish(trials.saturating_mul(budget), "done");
-            out
-        } else {
-            Runner::new(settings).run_chaos_trials_parallel(threads, make)
-        }
-    } else {
-        let spec = robust.scheduler.clone();
-        let omission = robust.omission;
-        let make_scheduled = move |t: u64, rng: &mut SmallRng| {
-            let (protocol, initial, plan) = make(t, rng);
-            let policy = AnyScheduler::from_spec(&spec, initial.len())
-                .expect("scheduler spec validated before dispatch");
-            (protocol, initial, plan, policy, population::Reliability::with_omission(omission))
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, plan) = soak_start(&make_protocol, Some(period), action, rng);
+        let n = initial.len();
+        let policy = robust.policy(n).expect("scheduler spec validated before dispatch");
+        let mut sim = Simulation::with_policy(protocol, initial, policy, seed)
+            .with_reliability(robust.reliability())
+            .with_fault_plan(&plan);
+        let mut sink = metrics.then(Metrics::new);
+        let (report, wall) = match &mut sink {
+            Some(m) => timed(|| sim.with_metrics(m).run_chaos(settings.max_interactions)),
+            None => timed(|| sim.run_chaos(settings.max_interactions)),
         };
-        if progress {
-            let mut meter = soak_meter(trials, budget, true);
-            let out = Runner::new(settings).run_chaos_trials_scheduled_observed(
-                make_scheduled,
-                |o: &ChaosTrialOutcome| {
-                    meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
-                },
-            );
-            meter.finish(trials.saturating_mul(budget), "done");
-            out
-        } else {
-            Runner::new(settings).run_chaos_trials_scheduled_parallel(threads, make_scheduled)
-        }
+        (ChaosTrialOutcome { trial, n, report, wall }, sink)
     };
-    (outcomes, Vec::new())
+    run_soak(settings, threads, progress, body, soak_detail)
 }
 
 /// [`soak_trials`] on the count-based backend: identical fault plans and
@@ -590,63 +487,58 @@ fn soak_trials_counts<P, M>(
     make_protocol: M,
     period: f64,
     action: FaultAction,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
     progress: bool,
     metrics: bool,
-) -> (Vec<ChaosTrialOutcome>, Vec<Metrics>)
+) -> Vec<(ChaosTrialOutcome, Option<Metrics>)>
 where
     P: Corruptor + Send,
     P::State: std::hash::Hash + Eq + Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = FaultPlan::new(rng.gen()).every_parallel_time(period, action);
-        (protocol, initial, plan)
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, plan) = soak_start(&make_protocol, Some(period), action, rng);
+        let n = initial.len();
+        let mut sim = BatchSimulation::new(protocol, initial, seed).with_fault_plan(&plan);
+        let mut sink = metrics.then(Metrics::new);
+        let (report, wall) = match &mut sink {
+            Some(m) => timed(|| sim.with_metrics(m).run_chaos(settings.max_interactions)),
+            None => timed(|| sim.run_chaos(settings.max_interactions)),
+        };
+        (ChaosTrialOutcome { trial, n, report, wall }, sink)
     };
-    if metrics {
-        let mut meter = soak_meter(trials, budget, progress);
-        let out = Runner::new(settings).run_chaos_trials_counts_metrics(make, |o, m| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_metrics_detail(o, m));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        return out.into_iter().unzip();
-    }
-    let outcomes = if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_chaos_trials_counts_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &soak_detail(o));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        out
-    } else {
-        Runner::new(settings).run_chaos_trials_counts_parallel(threads, make)
-    };
-    (outcomes, Vec::new())
+    run_soak(settings, threads, progress, body, soak_detail)
 }
 
 /// The heartbeat detail for one finished dynamics trial.
-fn dynamics_detail(o: &DynamicsTrialOutcome) -> String {
-    format!(
+fn dynamics_detail(o: &DynamicsTrialOutcome) -> (u64, String) {
+    let detail = format!(
         "trial {}: n {}→{}, {} strike(s), avail {:.3}",
         o.trial,
         o.n,
         o.report.final_n,
         o.report.byz_strikes,
         o.report.chaos.availability()
-    )
+    );
+    (o.trial, detail)
+}
+
+/// The churn plan and Byzantine set of one dynamics trial, with seeds
+/// drawn from the trial's config RNG so outcomes are deterministic in the
+/// base seed and independent of thread scheduling.
+fn dynamics_plans(
+    churn: &ChurnPlan,
+    byzantine: f64,
+    rng: &mut SmallRng,
+) -> (ChurnPlan, ByzantineSet) {
+    let churn = ChurnPlan { seed: rng.gen(), ..churn.clone() };
+    (churn, ByzantineSet { fraction: byzantine, seed: rng.gen() })
 }
 
 /// Runs dynamic-population soak trials on the agent-array backend:
 /// adversarial random start, optional repeating fault plan, plus the churn
-/// plan and Byzantine fraction. Per-trial churn/Byzantine seeds are drawn
-/// from the trial's config RNG, so outcomes are deterministic in the base
-/// seed and independent of thread scheduling.
+/// plan and Byzantine fraction.
 #[allow(clippy::too_many_arguments)]
 fn soak_dynamics_trials<P, M>(
     make_protocol: M,
@@ -654,9 +546,7 @@ fn soak_dynamics_trials<P, M>(
     action: FaultAction,
     churn: &ChurnPlan,
     byzantine: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
     progress: bool,
 ) -> Vec<DynamicsTrialOutcome>
@@ -665,28 +555,15 @@ where
     P::State: Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = match fault_period {
-            Some(p) => FaultPlan::new(rng.gen()).every_parallel_time(p, action),
-            None => FaultPlan::none(),
-        };
-        let churn = ChurnPlan { seed: rng.gen(), ..churn.clone() };
-        let byz = ByzantineSet { fraction: byzantine, seed: rng.gen() };
-        (protocol, initial, plan, churn, byz)
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, plan) = soak_start(&make_protocol, fault_period, action, rng);
+        let (churn, byz) = dynamics_plans(churn, byzantine, rng);
+        let n = initial.len();
+        let mut sim = Simulation::new(protocol, initial, seed).with_fault_plan(&plan);
+        let (report, wall) = timed(|| sim.run_dynamics(&churn, &byz, settings.max_interactions));
+        DynamicsTrialOutcome { trial, n, report, wall }
     };
-    if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_dynamics_trials_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &dynamics_detail(o));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        out
-    } else {
-        Runner::new(settings).run_dynamics_trials_parallel(threads, make)
-    }
+    run_soak(settings, threads, progress, body, dynamics_detail)
 }
 
 /// [`soak_dynamics_trials`] on the count-based backend (lumped Byzantine
@@ -698,9 +575,7 @@ fn soak_dynamics_trials_counts<P, M>(
     action: FaultAction,
     churn: &ChurnPlan,
     byzantine: f64,
-    trials: u64,
-    seed: u64,
-    budget: u64,
+    settings: TrialSettings,
     threads: usize,
     progress: bool,
 ) -> Vec<DynamicsTrialOutcome>
@@ -709,28 +584,15 @@ where
     P::State: std::hash::Hash + Eq + Send,
     M: Fn() -> P + Sync,
 {
-    let settings = TrialSettings::new(trials, seed, budget, 0);
-    let make = |_: u64, rng: &mut SmallRng| {
-        let protocol = make_protocol();
-        let initial = adversary::random_configuration(&protocol, rng);
-        let plan = match fault_period {
-            Some(p) => FaultPlan::new(rng.gen()).every_parallel_time(p, action),
-            None => FaultPlan::none(),
-        };
-        let churn = ChurnPlan { seed: rng.gen(), ..churn.clone() };
-        let byz = ByzantineSet { fraction: byzantine, seed: rng.gen() };
-        (protocol, initial, plan, churn, byz)
+    let body = |trial, rng: &mut SmallRng, seed| {
+        let (protocol, initial, plan) = soak_start(&make_protocol, fault_period, action, rng);
+        let (churn, byz) = dynamics_plans(churn, byzantine, rng);
+        let n = initial.len();
+        let mut sim = BatchSimulation::new(protocol, initial, seed).with_fault_plan(&plan);
+        let (report, wall) = timed(|| sim.run_dynamics(&churn, &byz, settings.max_interactions));
+        DynamicsTrialOutcome { trial, n, report, wall }
     };
-    if progress {
-        let mut meter = soak_meter(trials, budget, true);
-        let out = Runner::new(settings).run_dynamics_trials_counts_observed(make, |o| {
-            meter.tick((o.trial + 1).saturating_mul(budget), &dynamics_detail(o));
-        });
-        meter.finish(trials.saturating_mul(budget), "done");
-        out
-    } else {
-        Runner::new(settings).run_dynamics_trials_counts_parallel(threads, make)
-    }
+    run_soak(settings, threads, progress, body, dynamics_detail)
 }
 
 fn render_dynamics_text(
@@ -1034,9 +896,8 @@ mod tests {
 
     #[test]
     fn progress_soak_reports_identical_outcomes() {
-        // The observed sequential runners derive per-trial seeds exactly
-        // like the parallel ones, so `--progress 1` must not change the
-        // report — on any backend or scheduling regime.
+        // The heartbeat only reads finished trials, so `--progress 1` must
+        // not change the report — on any backend or scheduling regime.
         for extra in
             [vec![], vec!["--backend", "counts"], vec!["--scheduler", "zipf", "--omission", "0.1"]]
         {

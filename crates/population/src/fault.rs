@@ -30,9 +30,9 @@
 //! * [`RecoveryTracker`] / [`ChaosReport`] — per-fault recovery times and
 //!   leader-availability fractions, produced by
 //!   [`Simulation::run_chaos`](crate::Simulation::run_chaos).
-//! * [`ChaosTrialOutcome`] + [`Runner::run_chaos_trials_parallel`] — the
-//!   multi-trial driver, emitting versioned [`RunRecord`]/[`FaultRecord`]
-//!   JSONL for `ssle report`.
+//! * [`ChaosTrialOutcome`] — one chaos trial as returned by a
+//!   [`Runner::run`](crate::Runner::run) body, emitting versioned
+//!   [`RunRecord`]/[`FaultRecord`] JSONL for `ssle report`.
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@
 //! assert_eq!(plan.events.len(), 2);
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -56,8 +56,8 @@ use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::record::{FaultRecord, RunRecord};
-use crate::runner::{derive_seed, rng_from_seed, Runner};
-use crate::scheduler::{AnyScheduler, Reliability, SchedulerPolicy};
+use crate::runner::rng_from_seed;
+use crate::scheduler::SchedulerPolicy;
 use crate::simulation::{RunOutcome, Simulation};
 use crate::tracker::RankTracker;
 
@@ -946,242 +946,11 @@ impl ChaosTrialOutcome {
     }
 }
 
-/// Runs one seeded chaos trial. Seed derivation matches
-/// [`Runner::run_trials`]: configuration randomness from
-/// `derive_seed(base, 2·trial)`, the execution from
-/// `derive_seed(base, 2·trial + 1)` — so a chaos trial with an empty plan
-/// replays the corresponding plain trial's execution exactly.
-fn chaos_trial<P, F>(runner: &Runner, trial: u64, make: &mut F) -> ChaosTrialOutcome
-where
-    P: Corruptor,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim =
-        Simulation::new(protocol, initial, derive_seed(settings.base_seed, 2 * trial + 1))
-            .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-/// Like [`chaos_trial`], but under an explicit scheduler policy and
-/// reliability model. Same seed derivation; with the uniform policy and
-/// perfect reliability the execution is identical to [`chaos_trial`]'s.
-fn chaos_trial_scheduled<P, F>(runner: &Runner, trial: u64, make: &mut F) -> ChaosTrialOutcome
-where
-    P: Corruptor,
-    F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability),
-{
-    let settings = *runner.settings();
-    let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-    let (protocol, initial, plan, policy, reliability) = make(trial, &mut config_rng);
-    let n = initial.len();
-    let mut sim = Simulation::with_policy(
-        protocol,
-        initial,
-        policy,
-        derive_seed(settings.base_seed, 2 * trial + 1),
-    )
-    .with_reliability(reliability)
-    .with_fault_plan(&plan);
-    let started = Instant::now();
-    let report = sim.run_chaos(settings.max_interactions);
-    ChaosTrialOutcome { trial, n, report, wall: started.elapsed() }
-}
-
-impl Runner {
-    /// Runs every chaos trial sequentially.
-    ///
-    /// `make` receives the trial index and a seeded RNG (for adversarial
-    /// initial configurations) and returns the protocol, initial
-    /// configuration, and fault plan for that trial. The settings'
-    /// `confirm_window` is unused: a chaos run ends when every fault has
-    /// fired and been recovered from, or at the interaction budget.
-    pub fn run_chaos_trials<P, F>(&self, mut make: F) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-    {
-        (0..self.settings().trials).map(|trial| chaos_trial(self, trial, &mut make)).collect()
-    }
-
-    /// Like [`Runner::run_chaos_trials`], but invokes `on_trial` after each
-    /// trial completes, in trial order. Seed derivation and outcomes match
-    /// the other chaos runners exactly; use this when a live progress
-    /// heartbeat needs to observe trials as they finish.
-    pub fn run_chaos_trials_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = chaos_trial(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// [`Runner::run_chaos_trials_observed`] with a recording
-    /// [`crate::Metrics`] sink per trial; `on_trial` additionally receives
-    /// the trial's metrics. Chaos reports are identical to the
-    /// uninstrumented runner's (metrics never touch the simulation RNG).
-    pub fn run_chaos_trials_metrics<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<(ChaosTrialOutcome, crate::Metrics)>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan),
-        G: FnMut(&ChaosTrialOutcome, &crate::Metrics),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let settings = *self.settings();
-                let mut config_rng = rng_from_seed(derive_seed(settings.base_seed, 2 * trial));
-                let (protocol, initial, plan) = make(trial, &mut config_rng);
-                let n = initial.len();
-                let mut metrics = crate::Metrics::new();
-                let mut sim = Simulation::new(
-                    protocol,
-                    initial,
-                    derive_seed(settings.base_seed, 2 * trial + 1),
-                )
-                .with_metrics(&mut metrics)
-                .with_fault_plan(&plan);
-                let started = Instant::now();
-                let report = sim.run_chaos(settings.max_interactions);
-                let wall = started.elapsed();
-                drop(sim);
-                let outcome = ChaosTrialOutcome { trial, n, report, wall };
-                on_trial(&outcome, &metrics);
-                (outcome, metrics)
-            })
-            .collect()
-    }
-
-    /// Scheduled-and-unreliable variant of
-    /// [`Runner::run_chaos_trials_observed`]: `make` additionally returns
-    /// the scheduler policy and reliability model per trial, and `on_trial`
-    /// fires after each trial in order.
-    pub fn run_chaos_trials_scheduled_observed<P, F, G>(
-        &self,
-        mut make: F,
-        mut on_trial: G,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor,
-        F: FnMut(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability),
-        G: FnMut(&ChaosTrialOutcome),
-    {
-        (0..self.settings().trials)
-            .map(|trial| {
-                let outcome = chaos_trial_scheduled(self, trial, &mut make);
-                on_trial(&outcome);
-                outcome
-            })
-            .collect()
-    }
-
-    /// Like [`Runner::run_chaos_trials`], but distributing trials over
-    /// `threads` worker threads. Outcomes are identical to the sequential
-    /// version (per-trial seeds do not depend on scheduling); only wall times
-    /// differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_chaos_trials_parallel<P, F>(&self, threads: usize, make: F) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan) + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<ChaosTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(chaos_trial(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-
-    /// Like [`Runner::run_chaos_trials_parallel`], but each trial also picks
-    /// a scheduler policy and reliability model — the robustness-workload
-    /// driver. `make` returns `(protocol, initial, plan, scheduler,
-    /// reliability)`; outcomes are identical to a sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_chaos_trials_scheduled_parallel<P, F>(
-        &self,
-        threads: usize,
-        make: F,
-    ) -> Vec<ChaosTrialOutcome>
-    where
-        P: Corruptor + Send,
-        P::State: Send,
-        F: Fn(u64, &mut SmallRng) -> (P, Vec<P::State>, FaultPlan, AnyScheduler, Reliability)
-            + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread is required");
-        let make = &make;
-        let trials = self.settings().trials;
-        let mut results: Vec<ChaosTrialOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads {
-                let runner = *self;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut make_fn = |t: u64, rng: &mut SmallRng| make(t, rng);
-                        out.push(chaos_trial_scheduled(&runner, trial, &mut make_fn));
-                        trial += threads as u64;
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        results.sort_unstable_by_key(|t| t.trial);
-        results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::TrialSettings;
+    use crate::runner::{timed, Runner, TrialSettings};
+    use crate::scheduler::{AnyScheduler, Reliability};
 
     /// Protocol 1 of the paper in miniature: rank collision bumps the
     /// responder (mod n), so it ranks from any configuration.
@@ -1443,23 +1212,40 @@ mod tests {
         assert!(report.observed_steps > 0);
     }
 
+    /// Chaos trials of ModRank from all-zero under `plan_for(trial)`.
+    fn chaos_trials(
+        settings: TrialSettings,
+        threads: usize,
+        plan_for: impl Fn(u64) -> FaultPlan + Sync,
+    ) -> Vec<ChaosTrialOutcome> {
+        Runner::new(settings).run(
+            threads,
+            |trial, _, seed| {
+                let mut sim = Simulation::new(ModRank { n: 8 }, vec![0usize; 8], seed)
+                    .with_fault_plan(&plan_for(trial));
+                let (report, wall) = timed(|| sim.run_chaos(settings.max_interactions));
+                ChaosTrialOutcome { trial, n: 8, report, wall }
+            },
+            |_| {},
+        )
+    }
+
     #[test]
     fn chaos_runner_is_reproducible_and_parallel_matches_sequential() {
-        let runner = Runner::new(TrialSettings::new(6, 13, 1_000_000, 0));
-        let make = |trial: u64, _rng: &mut SmallRng| {
-            let plan = FaultPlan::new(trial)
-                .after_convergence(4, FaultAction::CorruptRandom(FaultSize::Exact(1)));
-            (ModRank { n: 8 }, vec![0usize; 8], plan)
+        let settings = TrialSettings::new(6, 13, 1_000_000, 0);
+        let make = |trial: u64| {
+            FaultPlan::new(trial)
+                .after_convergence(4, FaultAction::CorruptRandom(FaultSize::Exact(1)))
         };
-        let sequential = runner.run_chaos_trials(make);
+        let sequential = chaos_trials(settings, 1, make);
         assert_eq!(sequential.len(), 6);
-        let again = runner.run_chaos_trials(make);
+        let again = chaos_trials(settings, 1, make);
         assert_eq!(
             sequential.iter().map(|t| &t.report).collect::<Vec<_>>(),
             again.iter().map(|t| &t.report).collect::<Vec<_>>()
         );
         for threads in [1, 2, 4] {
-            let parallel = runner.run_chaos_trials_parallel(threads, make);
+            let parallel = chaos_trials(settings, threads, make);
             assert_eq!(
                 parallel.iter().map(|t| &t.report).collect::<Vec<_>>(),
                 sequential.iter().map(|t| &t.report).collect::<Vec<_>>(),
@@ -1469,12 +1255,32 @@ mod tests {
     }
 
     #[test]
+    fn uniform_policy_chaos_matches_the_default_scheduler() {
+        // A chaos run under an explicit uniform policy with perfect
+        // reliability is the default-scheduler chaos run, draw for draw.
+        let n = 12;
+        for seed in 0..8 {
+            let plan = FaultPlan::new(seed ^ 0x5eed)
+                .at_interaction(3 * n as u64, FaultAction::DuplicateLeader)
+                .after_convergence(n as u64, FaultAction::CorruptRandom(FaultSize::Exact(2)))
+                .every_parallel_time(40.0, FaultAction::PartialReset(FaultSize::Sqrt));
+            let initial: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % 3).collect();
+            let mut plain =
+                Simulation::new(ModRank { n }, initial.clone(), seed).with_fault_plan(&plan);
+            let mut policy =
+                Simulation::with_policy(ModRank { n }, initial, AnyScheduler::uniform(n), seed)
+                    .with_reliability(Reliability::perfect())
+                    .with_fault_plan(&plan);
+            let budget = 200 * (n * n) as u64;
+            assert_eq!(plain.run_chaos(budget), policy.run_chaos(budget), "seed {seed}");
+            assert_eq!(plain.states(), policy.states(), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn chaos_records_round_trip_schema() {
-        let runner = Runner::new(TrialSettings::new(1, 13, 1_000_000, 0));
-        let outcomes = runner.run_chaos_trials(|_, _| {
-            let plan = FaultPlan::new(8)
-                .after_convergence(4, FaultAction::PartialReset(FaultSize::Exact(2)));
-            (ModRank { n: 8 }, vec![0usize; 8], plan)
+        let outcomes = chaos_trials(TrialSettings::new(1, 13, 1_000_000, 0), 1, |_| {
+            FaultPlan::new(8).after_convergence(4, FaultAction::PartialReset(FaultSize::Exact(2)))
         });
         let trial = outcomes[0].trial_record("chaos-test", "modrank", None, 13);
         assert!(trial.outcome.is_converged());

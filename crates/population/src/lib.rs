@@ -31,12 +31,12 @@
 //! | [`counts`] | count-based backend: [`counts::CountConfig`] multisets and the batched [`counts::BatchSimulation`] for huge `n` |
 //! | [`backend`] | [`SimulationBackend`]: one interface over the agent-array and count backends |
 //! | [`tracker`] | O(1)-per-interaction convergence detection for ranking protocols |
-//! | [`runner`] | multi-trial experiment driver with deterministic seed derivation |
+//! | [`runner`] | the one trial loop, [`Runner::run`]: seeded trials striped over worker threads, outcomes in trial order |
 //! | [`observer`] | [`Observer`] hooks into the hot loop; [`NoopObserver`] zero-cost default |
 //! | [`probe`] | sampled time series and the stabilization-certificate (closure) checker |
 //! | [`fault`] | chaos harness: [`FaultPlan`] schedules, mid-run [`Corruptor`] injection, recovery/availability measurement |
 //! | [`dynamics`] | dynamic populations: [`ChurnPlan`] membership churn (join/leave/replace) and [`ByzantineSet`] adversarial agents on both backends |
-//! | [`telemetry`] | counters, fixed-bucket histograms, throughput meters, [`TelemetryObserver`] |
+//! | [`telemetry`] | measurement primitives: counters, fixed-bucket histograms, throughput figures |
 //! | [`metrics`] | engine telemetry: the zero-cost [`MetricsSink`] seam both backends flush at batch boundaries — batch sizes, exact-fallback/memo rates, compactions, per-section wall time |
 //! | [`timeline`] | within-run trajectory tracing: decimated [`timeline::TimelineObserver`] checkpoints and the [`timeline::Progress`] heartbeat |
 //! | [`record`] | versioned per-trial [`RunRecord`]s and their JSONL encoding |
@@ -121,13 +121,12 @@ pub use record::{
     from_jsonl_lenient, ChurnRecord, FaultRecord, FrontierRecord, LenientParse, MetricsRecord,
     RecordLine, RunRecord, ServerStatsRecord, ServiceRecord, TimelineRecord, TraceRecord,
 };
-pub use runner::{derive_seed, ConvergenceSample, Runner, TrialOutcome, TrialSettings};
+pub use runner::{derive_seed, timed, ConvergenceSample, Runner, TrialOutcome, TrialSettings};
 pub use scheduler::{AnyScheduler, Reliability, Scheduler, SchedulerPolicy};
 pub use simulation::{RunOutcome, Simulation};
 pub use snapshot::{
     restore_agents, restore_counts, snapshot_agents, snapshot_counts, SnapshotDoc, SnapshotError,
     SnapshotProtocol, SNAPSHOT_VERSION,
 };
-pub use telemetry::TelemetryObserver;
 pub use timeline::{Progress, Timeline, TimelineCheckpoint, TimelineObserver};
 pub use tracker::RankTracker;

@@ -1,16 +1,12 @@
-//! Lightweight metrics for simulation runs: counters, fixed-bucket
-//! histograms, and throughput tracking, plus a ready-made
-//! [`TelemetryObserver`] that aggregates them over an execution.
+//! Measurement primitives: counters, fixed-bucket histograms, and
+//! throughput figures.
 //!
 //! Everything here is allocation-light and dependency-free — the primitives
-//! are meant to sit inside an [`Observer`] on the hot path.
-//! Statistical post-processing (quantiles, ECDFs, confidence intervals) lives
-//! in the `analysis` crate; this module only *collects*.
+//! sit inside [`crate::metrics::Metrics`] on the hot path. Statistical
+//! post-processing (quantiles, ECDFs, confidence intervals) lives in the
+//! `analysis` crate; this module only *collects*.
 
-use std::time::{Duration, Instant};
-
-use crate::observer::Observer;
-use crate::protocol::Protocol;
+use std::time::Duration;
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,28 +114,6 @@ impl FixedHistogram {
     }
 }
 
-/// Wall-clock throughput of an execution segment, in interactions per
-/// second.
-///
-/// Start a meter before the hot loop, then [`ThroughputMeter::finish`] it
-/// with the number of interactions performed.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputMeter {
-    started: Instant,
-}
-
-impl ThroughputMeter {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        ThroughputMeter { started: Instant::now() }
-    }
-
-    /// Stops timing and reports throughput over `interactions` events.
-    pub fn finish(self, interactions: u64) -> Throughput {
-        Throughput { interactions, wall: self.started.elapsed() }
-    }
-}
-
 /// A completed throughput measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Throughput {
@@ -159,114 +133,6 @@ impl Throughput {
         } else {
             0.0
         }
-    }
-}
-
-/// One recorded phase transition (see
-/// [`Protocol::phase_of`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTransition {
-    /// The agent that changed phase.
-    pub agent: usize,
-    /// Phase before the interaction.
-    pub from: Option<&'static str>,
-    /// Phase after the interaction.
-    pub to: Option<&'static str>,
-    /// Total interaction count when the transition happened.
-    pub interactions: u64,
-}
-
-/// An [`Observer`] that aggregates the full event stream into telemetry:
-/// interaction/effective-interaction/convergence counters, a histogram of
-/// gaps between effective interactions, and a log of phase transitions.
-///
-/// The gap histogram is the interesting part for silent protocols: as a
-/// configuration approaches silence, effective interactions thin out and the
-/// gaps migrate into the high buckets — the histogram is a fingerprint of
-/// convergence behavior that a single hitting time can't show.
-#[derive(Debug, Clone)]
-pub struct TelemetryObserver {
-    /// Total interactions observed.
-    pub interactions: Counter,
-    /// Effective (non-null-pair) interactions observed.
-    pub effective: Counter,
-    /// Batches ([`Simulation::run`](crate::Simulation::run) calls) observed.
-    pub batches: Counter,
-    /// Goal-directed runs that converged.
-    pub converged: Counter,
-    /// Goal-directed runs that exhausted their budget.
-    pub exhausted: Counter,
-    /// Fault-plan firings observed (see [`crate::fault`]).
-    pub faults: Counter,
-    /// Distribution of interaction-count gaps between successive effective
-    /// interactions.
-    pub effective_gaps: FixedHistogram,
-    /// Every phase transition, in order of occurrence.
-    pub phase_transitions: Vec<PhaseTransition>,
-    last_effective_at: u64,
-}
-
-impl TelemetryObserver {
-    /// A fresh observer with an exponential gap histogram (1, 2, 4, …, 2¹⁹).
-    pub fn new() -> Self {
-        TelemetryObserver {
-            interactions: Counter::new(),
-            effective: Counter::new(),
-            batches: Counter::new(),
-            converged: Counter::new(),
-            exhausted: Counter::new(),
-            faults: Counter::new(),
-            effective_gaps: FixedHistogram::exponential(1, 20),
-            phase_transitions: Vec::new(),
-            last_effective_at: 0,
-        }
-    }
-}
-
-impl Default for TelemetryObserver {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Protocol> Observer<P> for TelemetryObserver {
-    const WATCHES_STATE_CHANGES: bool = true;
-    const WATCHES_PHASES: bool = true;
-
-    fn on_interaction(&mut self, _i: usize, _j: usize, _interactions: u64) {
-        self.interactions.incr();
-    }
-
-    fn on_batch(&mut self, _len: u64, _interactions: u64) {
-        self.batches.incr();
-    }
-
-    fn on_state_change(&mut self, _i: usize, _j: usize, interactions: u64) {
-        self.effective.incr();
-        self.effective_gaps.record(interactions - self.last_effective_at);
-        self.last_effective_at = interactions;
-    }
-
-    fn on_phase_transition(
-        &mut self,
-        agent: usize,
-        from: Option<&'static str>,
-        to: Option<&'static str>,
-        interactions: u64,
-    ) {
-        self.phase_transitions.push(PhaseTransition { agent, from, to, interactions });
-    }
-
-    fn on_fault(&mut self, _agents: usize, _interactions: u64) {
-        self.faults.incr();
-    }
-
-    fn on_converged(&mut self, _interactions: u64) {
-        self.converged.incr();
-    }
-
-    fn on_exhausted(&mut self, _interactions: u64) {
-        self.exhausted.incr();
     }
 }
 
@@ -312,14 +178,5 @@ mod tests {
         assert!((t.per_second() - 2000.0).abs() < 1e-6);
         let zero = Throughput { interactions: 1000, wall: Duration::ZERO };
         assert_eq!(zero.per_second(), 0.0);
-    }
-
-    #[test]
-    fn meter_measures_elapsed_time() {
-        let meter = ThroughputMeter::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let t = meter.finish(10);
-        assert!(t.wall >= Duration::from_millis(2));
-        assert!(t.per_second() > 0.0);
     }
 }

@@ -15,7 +15,7 @@
 //!    instead pay detection plus a full global reset at any fault size —
 //!    the measured price of their Θ(n) worst-case optimality.
 
-use population::{FaultAction, FaultPlan, FaultSize, Simulation, TelemetryObserver};
+use population::{FaultAction, FaultPlan, FaultSize, Observer, Protocol, Simulation};
 use proptest::prelude::*;
 use ssle::adversary;
 use ssle::{CaiIzumiWada, OptimalSilentSsr, SublinearTimeSsr};
@@ -27,6 +27,43 @@ fn busy_plan(n: usize, plan_seed: u64) -> FaultPlan {
         .at_interaction(3 * n as u64, FaultAction::DuplicateLeader)
         .after_convergence(n as u64, FaultAction::CorruptRandom(FaultSize::Exact(1)))
         .every_parallel_time(50.0, FaultAction::PartialReset(FaultSize::Sqrt))
+}
+
+/// Counts every hook the engine fires, with both opt-in gates set so the
+/// per-step null-pair and phase evaluation run too.
+#[derive(Default)]
+struct CountingObserver {
+    interactions: u64,
+    state_changes: u64,
+    phase_transitions: u64,
+    faults: u64,
+}
+
+impl<P: Protocol> Observer<P> for CountingObserver {
+    const WATCHES_STATE_CHANGES: bool = true;
+    const WATCHES_PHASES: bool = true;
+
+    fn on_interaction(&mut self, _i: usize, _j: usize, _interactions: u64) {
+        self.interactions += 1;
+    }
+
+    fn on_state_change(&mut self, _i: usize, _j: usize, _interactions: u64) {
+        self.state_changes += 1;
+    }
+
+    fn on_phase_transition(
+        &mut self,
+        _agent: usize,
+        _from: Option<&'static str>,
+        _to: Option<&'static str>,
+        _interactions: u64,
+    ) {
+        self.phase_transitions += 1;
+    }
+
+    fn on_fault(&mut self, _agents: usize, _interactions: u64) {
+        self.faults += 1;
+    }
 }
 
 proptest! {
@@ -43,7 +80,7 @@ proptest! {
         let mut bare = Simulation::new(protocol, initial.clone(), seed);
         bare.run_until(budget, |_| false);
         let mut watched =
-            Simulation::new(protocol, initial.clone(), seed).observe(TelemetryObserver::new());
+            Simulation::new(protocol, initial.clone(), seed).observe(CountingObserver::default());
         watched.run_until(budget, |_| false);
         prop_assert_eq!(bare.states(), watched.states());
 
@@ -53,14 +90,14 @@ proptest! {
             Simulation::new(protocol, initial.clone(), seed).with_fault_plan(&plan);
         let bare_report = bare.run_chaos(budget);
         let mut watched = Simulation::new(protocol, initial, seed)
-            .observe(TelemetryObserver::new())
+            .observe(CountingObserver::default())
             .with_fault_plan(&plan);
         let watched_report = watched.run_chaos(budget);
         prop_assert_eq!(bare.states(), watched.states());
         prop_assert_eq!(&bare_report, &watched_report);
         // The observer saw exactly the faults the report recorded.
         prop_assert_eq!(
-            watched.observer().faults.get(),
+            watched.observer().faults,
             watched_report.faults.len() as u64
         );
     }
