@@ -165,6 +165,7 @@ fn render_map(map: &std::collections::BTreeMap<String, JsonScalar>) -> String {
         match value {
             JsonScalar::Str(s) => obj.field_str(key, s),
             JsonScalar::Num(x) => obj.field_f64(key, *x),
+            JsonScalar::Int(v) => obj.field_u64(key, *v),
             JsonScalar::Bool(b) => obj.field_bool(key, *b),
             JsonScalar::Null => obj.field_null(key),
         };
@@ -231,6 +232,15 @@ mod tests {
     fn rejects_non_numeric_counts() {
         let flags = flags(&["--cmd", "step", "--name", "a", "--interactions", "lots"]);
         assert!(matches!(build_request("step", &flags), Err(CliError::BadValue { .. })));
+    }
+
+    #[test]
+    fn rendered_responses_keep_integers_exact() {
+        let line = r#"{"ok":true,"seed":18446744073709551615,"n":9007199254740993,"rps":1.5}"#;
+        assert_eq!(
+            render_map(&parse_flat_json(line).unwrap()),
+            r#"{"n":9007199254740993,"ok":true,"rps":1.5,"seed":18446744073709551615}"#
+        );
     }
 
     #[test]

@@ -145,6 +145,7 @@ fn render_health(health_line: &str) -> String {
         let s = |key: &str| match pop.get(key) {
             Some(JsonScalar::Str(v)) => v.clone(),
             Some(JsonScalar::Num(v)) => format!("{v}"),
+            Some(JsonScalar::Int(v)) => v.to_string(),
             Some(JsonScalar::Null) => "-".to_string(),
             Some(JsonScalar::Bool(v)) => v.to_string(),
             None => "?".to_string(),

@@ -36,7 +36,7 @@
 
 use std::collections::BTreeMap;
 
-use population::record::{parse_flat_json, JsonObject, JsonScalar};
+use population::record::{parse_flat_json, JsonObject, JsonScalar, JsonValue};
 
 /// A parsed request: the command name plus its argument map.
 #[derive(Debug, Clone)]
@@ -111,20 +111,18 @@ impl Request {
         }
     }
 
-    /// An optional non-negative integer argument (JSON numbers only).
+    /// An optional non-negative integer argument (JSON numbers only), read
+    /// exactly over the whole `u64` range.
     ///
     /// # Errors
     ///
-    /// Returns a message when present but not a non-negative integer
-    /// representable in a `f64` without loss.
+    /// Returns a message when present but not exactly a `u64`.
     pub fn u64_arg(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.args.get(key) {
-            None => Ok(None),
-            Some(JsonScalar::Num(x)) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Ok(Some(*x as u64))
-            }
-            Some(_) => Err(format!("{key:?} must be a non-negative integer")),
-        }
+        self.args
+            .get(key)
+            .map(|value| u64::from_scalar(key, value, false))
+            .transpose()
+            .map_err(|_| format!("{key:?} must be a non-negative integer"))
     }
 
     /// A required non-negative integer argument.
@@ -278,6 +276,20 @@ mod tests {
         assert!(r.u64_arg("interactions").is_err());
         let r = Request::parse(r#"{"cmd":"step","name":"a","interactions":1.5}"#).unwrap();
         assert!(r.u64_arg("interactions").is_err());
+    }
+
+    #[test]
+    fn integer_arguments_are_exact_over_the_whole_u64_range() {
+        let seed = |literal: &str| {
+            Request::parse(&format!(r#"{{"cmd":"create","name":"a","seed":{literal}}}"#))
+                .unwrap()
+                .u64_arg("seed")
+        };
+        assert_eq!(seed("9007199254740993"), Ok(Some(9_007_199_254_740_993)));
+        assert_eq!(seed("18446744073709551615"), Ok(Some(u64::MAX)));
+        for literal in ["18446744073709551616", "9007199254740993.5", "null"] {
+            assert_eq!(seed(literal), Err("\"seed\" must be a non-negative integer".to_string()));
+        }
     }
 
     #[test]
