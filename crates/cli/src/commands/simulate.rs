@@ -758,16 +758,11 @@ where
     let mut sim = BatchSimulation::new(protocol, initial, common.seed)
         .with_reliability(robust.reliability())
         .with_metrics(metrics);
-    // The uniform-complete fast path keeps the lumped batched loop (omission
-    // is thinned exactly inside batches); any other policy needs agent
-    // identities, so the backend falls back to exact per-interaction draws.
     let outcome = if let Some(path) = timeline {
         let mut tl = TimelineObserver::new(DEFAULT_TIMELINE_CAPACITY);
         let outcome = sim.run_until_stably_ranked_timeline(budget, 4 * n as u64, &mut tl);
         write_timeline(path, tl.finish(n as u64), common, "counts")?;
         outcome
-    } else if policy.is_uniform_complete() {
-        sim.run_until_stably_ranked(budget, 4 * n as u64)
     } else {
         sim.run_until_stably_ranked_scheduled(&policy, budget, 4 * n as u64)
     };

@@ -63,8 +63,9 @@ pub trait SimulationBackend<P: Protocol> {
     ) -> RunOutcome;
 
     /// Runs to a stable ranking (see
-    /// [`Simulation::run_until_stably_ranked`]); both backends check every
-    /// interaction, with identical convergence semantics.
+    /// [`Simulation::run_until_stably_ranked`]); both backends run one
+    /// loop, checking every interaction with identical convergence
+    /// semantics.
     fn run_until_stably_ranked(&mut self, max_interactions: u64, confirm_window: u64) -> RunOutcome
     where
         P: RankingProtocol;

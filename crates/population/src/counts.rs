@@ -42,15 +42,18 @@
 //!   definition, so `CountConfig` degenerates to `n` entries of count 1 and
 //!   every weighted draw scans `O(n)` entries. Ranked runs therefore use
 //!   [`BatchSimulation::run_until_stably_ranked`], which steps through the
-//!   exact fallback — correct, but no faster than the agent array. The
-//!   `scaling_frontier` experiment measures both regimes honestly.
+//!   exact fallback — correct, but no faster than the agent array — in the
+//!   one stable-ranking loop both backends run. The `scaling_frontier`
+//!   experiment measures both regimes honestly.
 //!
 //! Fault injection ([`crate::FaultPlan`]) composes with this backend by
 //! state-count: when a fault is due, the configuration is materialized into
 //! an agent array, corrupted by the exact same [`FaultSchedule`] code path
 //! the agent backend uses (agent indices are exchangeable, so index-level
 //! corruption *is* count-level corruption), and re-compressed. Batches are
-//! capped so an execution never jumps past a due fault.
+//! capped so an execution never jumps past a due fault. Chaos runs
+//! ([`BatchSimulation::run_chaos`]) are the
+//! [`SteppedDriver`](crate::SteppedDriver) loop with empty plans.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -59,16 +62,15 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::fault::{
-    ChaosReport, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults, RecoveryTracker,
-};
+use crate::dynamics::{ByzantineSet, ChurnPlan};
+use crate::fault::{ChaosReport, Corruptor, FaultInjector, FaultPlan, FaultSchedule, NoFaults};
 use crate::metrics::{MetricsSink, NoopMetrics, Section, AGENT_FLUSH_EVERY};
 use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
 use crate::scheduler::{uniform_u64, AnyScheduler, Reliability, SchedulerPolicy};
-use crate::simulation::{interact_reliably, RunOutcome};
-use crate::timeline::{snapshot_counts, TimelineObserver};
+use crate::simulation::{pair_mut, ranked_loop, RankedStep, RunOutcome};
+use crate::timeline::{snapshot_counts, snapshot_states, TimelineCheckpoint, TimelineObserver};
 use crate::tracker::RankTracker;
 
 /// A population configuration as a multiset of states.
@@ -958,23 +960,53 @@ where
 
     /// Polls the fault schedule, materializing the configuration into an
     /// agent array only when something is actually due
-    /// ([`FaultSchedule::next_due`]). Returns the number of corrupted
-    /// agents.
-    pub(crate) fn poll_faults(&mut self) -> usize {
+    /// ([`FaultSchedule::next_due`]). Returns whether a fault fired.
+    pub(crate) fn poll_faults(&mut self) -> bool {
         if !F::ACTIVE || self.interactions < self.faults.next_due() {
-            return 0;
+            return false;
         }
         let fired_before = self.faults.fired_count();
         let mut states = self.config.to_states();
         let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
-        if self.faults.fired_count() != fired_before {
+        let fired = self.faults.fired_count() != fired_before;
+        if fired {
             // Rebuild from the corrupted array; every entry index and
             // memoized transition is stale after the wholesale rebuild.
-            self.config = CountConfig::from_states(&states);
-            self.memo.grow(self.config.raw_len());
+            self.recompress(&states);
             self.observer.on_fault(corrupted, self.interactions);
         }
-        corrupted
+        fired
+    }
+
+    /// Replaces the configuration with the compressed `states`, discarding
+    /// every entry index and memoized transition.
+    fn recompress(&mut self, states: &[P::State]) {
+        self.config = CountConfig::from_states(states);
+        self.memo.grow(self.config.raw_len());
+    }
+
+    /// The configuration materialized into an agent array for `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy was built for a different population size.
+    fn agent_view<'a>(&'a mut self, policy: &'a AnyScheduler) -> AgentView<'a, P, O, F> {
+        assert_eq!(
+            policy.population_size() as u64,
+            self.n,
+            "scheduler policy was built for a different population size"
+        );
+        AgentView {
+            protocol: &self.protocol,
+            policy,
+            reliability: self.reliability,
+            states: self.config.to_states(),
+            rng: &mut self.rng,
+            interactions: &mut self.interactions,
+            observer: &mut self.observer,
+            faults: &mut self.faults,
+            metrics: NoopMetrics,
+        }
     }
 
     /// Advances by one batch of at most `cap` interactions, respecting due
@@ -1054,38 +1086,24 @@ where
         max_interactions: u64,
         mut goal: impl FnMut(&P, &[P::State]) -> bool,
     ) -> RunOutcome {
-        assert_eq!(
-            policy.population_size() as u64,
-            self.n,
-            "scheduler policy was built for a different population size"
-        );
-        let mut states = self.config.to_states();
+        let mut view = self.agent_view(policy);
         let outcome = loop {
-            if goal(&self.protocol, &states) {
-                self.observer.on_converged(self.interactions);
-                if F::ACTIVE {
-                    self.faults.notify_converged(self.interactions);
-                }
-                break RunOutcome::Converged { interactions: self.interactions };
+            if goal(view.protocol, &view.states) {
+                view.observer.on_converged(*view.interactions);
+                view.faults.notify_converged(*view.interactions);
+                break RunOutcome::Converged { interactions: *view.interactions };
             }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
+            if *view.interactions >= max_interactions {
+                view.observer.on_exhausted(*view.interactions);
+                break RunOutcome::Exhausted { interactions: *view.interactions };
             }
-            let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
-            interact_reliably(&self.protocol, &mut states, i, j, self.reliability, &mut self.rng);
-            self.interactions += 1;
-            if F::ACTIVE && self.interactions >= self.faults.next_due() {
-                let fired_before = self.faults.fired_count();
-                let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
-                if self.faults.fired_count() != fired_before {
-                    self.observer.on_fault(corrupted, self.interactions);
-                }
-            }
+            let (i, j) = view.policy.sample_at(view.rng, *view.interactions);
+            view.interact(i, j);
+            view.poll_faults();
         };
         // Recompress so `counts()` reflects the final configuration.
-        self.config = CountConfig::from_states(&states);
-        self.memo.grow(self.config.raw_len());
+        let states = view.states;
+        self.recompress(&states);
         outcome
     }
 }
@@ -1095,16 +1113,6 @@ impl<P: RankingProtocol, O: Observer<P>, F: FaultSchedule<P>, M: MetricsSink>
 where
     P::State: Eq + Hash,
 {
-    /// Builds a rank histogram of the current configuration.
-    pub(crate) fn build_tracker(&self) -> RankTracker {
-        let n = self.protocol.population_size();
-        let mut tracker = RankTracker::new(n);
-        for (s, c) in self.config.iter() {
-            tracker.add_many(self.protocol.rank_of(s), c);
-        }
-        tracker
-    }
-
     /// Number of agents currently outputting leader (rank 1).
     pub fn leader_count(&self) -> u64 {
         self.config.iter().filter(|(s, _)| self.protocol.is_leader(s)).map(|(_, c)| c).sum()
@@ -1116,17 +1124,17 @@ where
     }
 
     /// Count-level mirror of
-    /// [`crate::Simulation::run_until_stably_ranked`]: identical
-    /// convergence semantics (confirmation window, fault-triggered tracker
-    /// rebuilds), but over the exact one-at-a-time fallback — a ranked
-    /// configuration has `n` distinct states, so batching cannot help here
-    /// and the honest cost is `O(support)` per interaction.
+    /// [`crate::Simulation::run_until_stably_ranked`]: the same loop
+    /// (confirmation window, fault-triggered tracker rebuilds), stepped by
+    /// the exact one-at-a-time fallback — a ranked configuration has `n`
+    /// distinct states, so batching cannot help here and the honest cost is
+    /// `O(support)` per interaction.
     pub fn run_until_stably_ranked(
         &mut self,
         max_interactions: u64,
         confirm_window: u64,
     ) -> RunOutcome {
-        self.ranked_loop(max_interactions, confirm_window, None)
+        ranked_loop(self, max_interactions, confirm_window, None)
     }
 
     /// Like [`BatchSimulation::run_until_stably_ranked`], but additionally
@@ -1146,81 +1154,7 @@ where
         confirm_window: u64,
         timeline: &mut TimelineObserver,
     ) -> RunOutcome {
-        self.ranked_loop(max_interactions, confirm_window, Some(timeline))
-    }
-
-    fn ranked_loop(
-        &mut self,
-        max_interactions: u64,
-        confirm_window: u64,
-        mut timeline: Option<&mut TimelineObserver>,
-    ) -> RunOutcome {
-        let n = self.protocol.population_size();
-        assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        let mut tracker = self.build_tracker();
-        let mut converged_at: Option<u64> = None;
-        let outcome = loop {
-            if let Some(tl) = timeline.as_deref_mut() {
-                if tl.is_due(self.interactions) {
-                    let observe = if M::ENABLED { Some(Instant::now()) } else { None };
-                    tl.record(snapshot_counts(&self.protocol, &self.config, self.interactions));
-                    if let Some(t0) = observe {
-                        self.metrics.on_section(Section::Observe, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
-                }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
-            }
-            let (ia, ib, ja, jb) = self.step_exact_indices();
-            tracker.update(
-                self.protocol.rank_of(self.config.state_at(ia)),
-                self.protocol.rank_of(self.config.state_at(ja)),
-            );
-            tracker.update(
-                self.protocol.rank_of(self.config.state_at(ib)),
-                self.protocol.rank_of(self.config.state_at(jb)),
-            );
-            if F::ACTIVE {
-                let fired_before = self.faults.fired_count();
-                self.poll_faults();
-                if self.faults.fired_count() != fired_before {
-                    tracker = self.build_tracker();
-                    converged_at = None;
-                }
-            }
-            if converged_at.is_some() && !tracker.is_correct() {
-                converged_at = None;
-            }
-        };
-        if let Some(tl) = timeline {
-            tl.seal(snapshot_counts(&self.protocol, &self.config, self.interactions));
-        }
-        outcome
+        ranked_loop(self, max_interactions, confirm_window, Some(timeline))
     }
 
     /// [`BatchSimulation::run_until_stably_ranked`] under an arbitrary
@@ -1229,8 +1163,8 @@ where
     /// Uniform-complete policies delegate to the lumped count-level loop —
     /// zero cost relative to the plain method. Anything else distinguishes
     /// agents, so the configuration is materialized (entry order assigns
-    /// identities) and the run proceeds agent-by-agent with the exact same
-    /// convergence semantics, recompressing on return.
+    /// identities) and the same loop steps the agent array, recompressing
+    /// on return.
     pub fn run_until_stably_ranked_scheduled(
         &mut self,
         policy: &AnyScheduler,
@@ -1240,82 +1174,136 @@ where
         if policy.is_uniform_complete() {
             return self.run_until_stably_ranked(max_interactions, confirm_window);
         }
-        let n = self.protocol.population_size();
-        assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        assert_eq!(
-            policy.population_size(),
-            n,
-            "scheduler policy was built for a different population size"
-        );
-        let mut states = self.config.to_states();
-        let mut tracker = RankTracker::new(n);
-        for s in &states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        let mut converged_at: Option<u64> = None;
-        let outcome = loop {
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
-                }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
-            }
-            let (i, j) = policy.sample_at(&mut self.rng, self.interactions);
-            let before_i = self.protocol.rank_of(&states[i]);
-            let before_j = self.protocol.rank_of(&states[j]);
-            let applied = interact_reliably(
-                &self.protocol,
-                &mut states,
-                i,
-                j,
-                self.reliability,
-                &mut self.rng,
-            );
-            self.interactions += 1;
-            if applied {
-                tracker.update(before_i, self.protocol.rank_of(&states[i]));
-                tracker.update(before_j, self.protocol.rank_of(&states[j]));
-            }
-            if F::ACTIVE && self.interactions >= self.faults.next_due() {
-                let fired_before = self.faults.fired_count();
-                let corrupted = self.faults.poll(&self.protocol, &mut states, self.interactions);
-                if self.faults.fired_count() != fired_before {
-                    self.observer.on_fault(corrupted, self.interactions);
-                    tracker = RankTracker::new(n);
-                    for s in &states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
-                    converged_at = None;
-                }
-            }
-            if converged_at.is_some() && !tracker.is_correct() {
-                converged_at = None;
-            }
-        };
-        self.config = CountConfig::from_states(&states);
-        self.memo.grow(self.config.raw_len());
+        let mut view = self.agent_view(policy);
+        let outcome = ranked_loop(&mut view, max_interactions, confirm_window, None);
+        let states = view.states;
+        self.recompress(&states);
         outcome
+    }
+}
+
+impl<P, O, F, M> RankedStep<P> for BatchSimulation<P, O, F, M>
+where
+    P: RankingProtocol,
+    P::State: Eq + Hash,
+    O: Observer<P>,
+    F: FaultSchedule<P>,
+    M: MetricsSink,
+{
+    type Observer = O;
+    type Faults = F;
+    type Metrics = M;
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn build_tracker(&self) -> RankTracker {
+        RankTracker::from_counts(&self.protocol, self.config.iter())
+    }
+
+    #[inline]
+    fn step_ranked(&mut self, tracker: &mut RankTracker) -> bool {
+        let (ia, ib, ja, jb) = self.step_exact_indices();
+        let rank = |idx| self.protocol.rank_of(self.config.state_at(idx));
+        tracker.update(rank(ia), rank(ja));
+        tracker.update(rank(ib), rank(jb));
+        self.poll_faults()
+    }
+
+    fn checkpoint(&self) -> TimelineCheckpoint {
+        snapshot_counts(&self.protocol, &self.config, self.interactions)
+    }
+
+    fn plugins(&mut self) -> (&mut O, &mut F, &mut M) {
+        (&mut self.observer, &mut self.faults, &mut self.metrics)
+    }
+}
+
+/// The count backend's configuration materialized into an agent array
+/// (entry order assigns identities), for schedulers that distinguish
+/// agents. Borrows the simulation's RNG, interaction count, observer and
+/// fault schedule, so stepping the view advances the simulation.
+struct AgentView<'a, P: Protocol, O, F> {
+    protocol: &'a P,
+    policy: &'a AnyScheduler,
+    reliability: Reliability,
+    states: Vec<P::State>,
+    rng: &'a mut SmallRng,
+    interactions: &'a mut u64,
+    observer: &'a mut O,
+    faults: &'a mut F,
+    metrics: NoopMetrics,
+}
+
+impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>> AgentView<'_, P, O, F> {
+    /// One interaction between agents `i` and `j` under the reliability
+    /// model (an omitted one still counts).
+    fn interact(&mut self, i: usize, j: usize) {
+        *self.interactions += 1;
+        if self.reliability.drops(self.rng) {
+            return;
+        }
+        let (a, b) = pair_mut(&mut self.states, i, j);
+        if self.reliability.one_way {
+            let saved = b.clone();
+            self.protocol.interact(a, b, self.rng);
+            *b = saved;
+        } else {
+            self.protocol.interact(a, b, self.rng);
+        }
+    }
+
+    /// Polls the fault schedule against the agent array, reporting a fired
+    /// fault to the observer. Returns whether one fired.
+    fn poll_faults(&mut self) -> bool {
+        if !F::ACTIVE || *self.interactions < self.faults.next_due() {
+            return false;
+        }
+        let fired_before = self.faults.fired_count();
+        let corrupted = self.faults.poll(self.protocol, &mut self.states, *self.interactions);
+        let fired = self.faults.fired_count() != fired_before;
+        if fired {
+            self.observer.on_fault(corrupted, *self.interactions);
+        }
+        fired
+    }
+}
+
+impl<P, O, F> RankedStep<P> for AgentView<'_, P, O, F>
+where
+    P: RankingProtocol,
+    O: Observer<P>,
+    F: FaultSchedule<P>,
+{
+    type Observer = O;
+    type Faults = F;
+    type Metrics = NoopMetrics;
+
+    fn interactions(&self) -> u64 {
+        *self.interactions
+    }
+
+    fn build_tracker(&self) -> RankTracker {
+        RankTracker::from_counts(self.protocol, self.states.iter().map(|s| (s, 1)))
+    }
+
+    fn step_ranked(&mut self, tracker: &mut RankTracker) -> bool {
+        let (i, j) = self.policy.sample_at(self.rng, *self.interactions);
+        let before_i = self.protocol.rank_of(&self.states[i]);
+        let before_j = self.protocol.rank_of(&self.states[j]);
+        self.interact(i, j);
+        tracker.update(before_i, self.protocol.rank_of(&self.states[i]));
+        tracker.update(before_j, self.protocol.rank_of(&self.states[j]));
+        self.poll_faults()
+    }
+
+    fn checkpoint(&self) -> TimelineCheckpoint {
+        snapshot_states(self.protocol, &self.states, *self.interactions)
+    }
+
+    fn plugins(&mut self) -> (&mut O, &mut F, &mut NoopMetrics) {
+        (self.observer, self.faults, &mut self.metrics)
     }
 }
 
@@ -1329,6 +1317,8 @@ where
 {
     /// Count-level mirror of [`crate::Simulation::run_chaos`]: runs under
     /// the attached fault schedule, measuring recovery and availability.
+    /// This is [`BatchSimulation::run_dynamics`] with an empty churn plan
+    /// and no Byzantine agents.
     ///
     /// Both ranked and recovery stretches advance in collision-free
     /// batches, capped at the next due fault trigger
@@ -1342,54 +1332,7 @@ where
     /// by up to one batch (`O(√n)` interactions, i.e. `o(1)` parallel
     /// time).
     pub fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport {
-        let n = self.protocol.population_size();
-        assert_eq!(n as u64, self.n, "protocol configured for a different population size");
-        let mut tracker = self.build_tracker();
-        let mut recovery = RecoveryTracker::new(n);
-        let mut seen = self.faults.fired_count();
-
-        self.poll_faults();
-        if self.faults.fired_count() != seen {
-            for f in &self.faults.log()[seen..] {
-                recovery.on_fault(f.action, f.agents, f.at);
-            }
-            seen = self.faults.fired_count();
-            tracker = self.build_tracker();
-        }
-        if tracker.is_correct() {
-            recovery.on_ranked(self.interactions);
-            self.faults.notify_converged(self.interactions);
-        }
-
-        loop {
-            if tracker.is_correct() && self.faults.exhausted() && recovery.open_faults() == 0 {
-                self.observer.on_converged(self.interactions);
-                break;
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break;
-            }
-            // Advance a whole batch (ranked stretches are capped at the
-            // next due fault by `advance`), then resolve status.
-            let before = self.interactions;
-            self.advance(max_interactions - self.interactions);
-            let performed = self.interactions - before;
-            if self.faults.fired_count() != seen {
-                for f in &self.faults.log()[seen..] {
-                    recovery.on_fault(f.action, f.agents, f.at);
-                }
-                seen = self.faults.fired_count();
-            }
-            tracker = self.build_tracker();
-            let ranked = tracker.is_correct();
-            recovery.observe_steps(performed, ranked, tracker.count_of(1) == 1);
-            if ranked {
-                recovery.on_ranked(self.interactions);
-                self.faults.notify_converged(self.interactions);
-            }
-        }
-        recovery.into_report(self.interactions)
+        self.run_dynamics(&ChurnPlan::none(), &ByzantineSet::none(), max_interactions).chaos
     }
 }
 
@@ -1398,6 +1341,7 @@ mod tests {
     use super::*;
     use crate::fault::ChaosTrialOutcome;
     use crate::fault::{FaultAction, FaultSize};
+    use crate::metrics::Metrics;
     use crate::runner::{timed, Runner, TrialOutcome, TrialSettings};
 
     /// Protocol 1 of the paper in miniature (deterministic transitions).
@@ -1561,6 +1505,19 @@ mod tests {
         assert!(sim.is_ranked());
         assert_eq!(sim.leader_count(), 1);
         assert_eq!(sim.counts().support(), 8, "a ranked configuration has n distinct states");
+    }
+
+    #[test]
+    fn ranked_runs_attribute_engine_time_to_transitions() {
+        let budget = 5 * AGENT_FLUSH_EVERY;
+        let mut metrics = Metrics::new();
+        let mut sim =
+            BatchSimulation::new(ModRank { n: 8 }, vec![0usize; 8], 5).with_metrics(&mut metrics);
+        // An unreachable confirmation window runs the loop to its budget.
+        let outcome = sim.run_until_stably_ranked(budget, u64::MAX);
+        assert_eq!(outcome, RunOutcome::Exhausted { interactions: budget });
+        drop(sim);
+        assert!(metrics.section_seconds(Section::Transition) > 0.0);
     }
 
     #[test]

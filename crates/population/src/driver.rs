@@ -3,10 +3,12 @@
 //! [`SteppedDriver`] is the `run(k)`-slice + event-injection loop factored
 //! out of the dynamics paths so every execution driver shares one code
 //! path: [`BatchSimulation::run_dynamics`] is now a thin loop over
-//! [`SteppedDriver::slice`], and `ssle serve` drives live populations with
-//! the same slices — one bounded slice per request, externally injected
+//! [`SteppedDriver::slice`], [`BatchSimulation::run_chaos`] is that loop
+//! with empty plans, and `ssle serve` drives live populations with the
+//! same slices — one bounded slice per request, externally injected
 //! membership events between slices, convergence probes and metrics
-//! flushes at slice boundaries.
+//! flushes at slice boundaries. Stable-ranking runs are not sliced: both
+//! backends check them every interaction, in one shared loop.
 //!
 //! [`DynamicBackend`] is the backend-trait extension this requires: the
 //! membership operations (adversarial joins, random leaves, adversarial
@@ -43,7 +45,7 @@ use crate::metrics::MetricsSink;
 use crate::observer::Observer;
 use crate::runner::rng_from_seed;
 use crate::scheduler::Scheduler;
-use crate::simulation::Simulation;
+use crate::simulation::{RankedStep, Simulation};
 use crate::tracker::RankTracker;
 
 /// Backend operations a dynamic-population driver needs beyond
@@ -154,11 +156,7 @@ where
     }
 
     fn rank_tracker(&self) -> RankTracker {
-        let mut tracker = RankTracker::new(self.protocol.population_size());
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        tracker
+        self.build_tracker()
     }
 
     fn join_adversarial(&mut self, k: usize, rng: &mut SmallRng) {

@@ -55,8 +55,7 @@ use crate::observer::Observer;
 use crate::record::{ChurnRecord, FaultRecord};
 use crate::runner::rng_from_seed;
 use crate::scheduler::{Scheduler, SchedulerPolicy};
-use crate::simulation::Simulation;
-use crate::tracker::RankTracker;
+use crate::simulation::{RankedStep, Simulation};
 
 /// What a membership event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -463,10 +462,7 @@ where
         let mut byz_strikes = 0u64;
         let mut pt = self.interactions as f64 / n0 as f64;
 
-        let mut tracker = RankTracker::new(n0);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
+        let mut tracker = self.build_tracker();
         let mut recovery = RecoveryTracker::new(n0);
         let mut seen = self.faults.fired_count();
 
@@ -478,10 +474,7 @@ where
                 recovery.on_fault(f.action, f.agents, f.at);
             }
             seen = self.faults.fired_count();
-            tracker = RankTracker::new(n0);
-            for s in &self.states {
-                tracker.add(self.protocol.rank_of(s));
-            }
+            tracker = self.build_tracker();
         }
         if tracker.is_correct() && self.states.len() == n0 {
             recovery.on_ranked(self.interactions);
@@ -534,10 +527,7 @@ where
                     recovery.on_fault(f.action, f.agents, f.at);
                 }
                 seen = self.faults.fired_count();
-                tracker = RankTracker::new(n0);
-                for s in &self.states {
-                    tracker.add(self.protocol.rank_of(s));
-                }
+                tracker = self.build_tracker();
             }
 
             // Membership events due at this parallel time.
@@ -589,10 +579,7 @@ where
                         self.scheduler =
                             Scheduler::new(self.states.len(), InteractionGraph::Complete);
                     }
-                    tracker = RankTracker::new(n0);
-                    for s in &self.states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
+                    tracker = self.build_tracker();
                 }
             }
 
@@ -648,16 +635,15 @@ where
     /// Count-backend counterpart of [`Simulation::run_dynamics`]: advances
     /// whole collision-free batches capped at the next due churn or
     /// Byzantine strike (converted from parallel time against the live
-    /// size), resolving ranked / unique-leader status at batch boundaries
-    /// like [`BatchSimulation::run_chaos`].
+    /// size), resolving ranked / unique-leader status at batch boundaries.
     ///
     /// Counts are anonymous, so Byzantine membership cannot be pinned;
     /// this backend runs the lumped stand-in (see [`ByzantineSet`]):
     /// every unit of parallel time, `⌊t·n⌋` uniformly random agents are
     /// overwritten adversarially.
     ///
-    /// With an empty plan and an empty Byzantine set this performs the
-    /// bit-identical batch sequence of [`BatchSimulation::run_chaos`].
+    /// With an empty plan and an empty Byzantine set this is
+    /// [`BatchSimulation::run_chaos`].
     ///
     /// This is the [`SteppedDriver`] loop run to completion — the daemon in
     /// `crates/serve` drives the same driver one slice at a time.

@@ -58,8 +58,7 @@ use crate::protocol::{Protocol, RankingProtocol};
 use crate::record::{FaultRecord, RunRecord};
 use crate::runner::rng_from_seed;
 use crate::scheduler::SchedulerPolicy;
-use crate::simulation::{RunOutcome, Simulation};
-use crate::tracker::RankTracker;
+use crate::simulation::{RankedStep, RunOutcome, Simulation};
 
 /// How many agents a fault touches, resolved against the **live** population
 /// size each time the fault fires — so a size stays valid even when
@@ -804,10 +803,7 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
     pub fn run_chaos(&mut self, max_interactions: u64) -> ChaosReport {
         let n = self.protocol.population_size();
         assert_eq!(n, self.states.len(), "protocol configured for a different population size");
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
+        let mut tracker = self.build_tracker();
         let mut recovery = RecoveryTracker::new(n);
         let mut seen = self.faults.fired_count();
 
@@ -819,10 +815,7 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
                 recovery.on_fault(f.action, f.agents, f.at);
             }
             seen = self.faults.fired_count();
-            tracker = RankTracker::new(n);
-            for s in &self.states {
-                tracker.add(self.protocol.rank_of(s));
-            }
+            tracker = self.build_tracker();
         }
         if tracker.is_correct() {
             recovery.on_ranked(self.interactions);
@@ -838,25 +831,13 @@ impl<P: Corruptor, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: M
                 self.observer.on_exhausted(self.interactions);
                 break;
             }
-            let (i, j) = self.scheduler.sample_at(&mut self.rng, self.interactions);
-            let before_i = self.protocol.rank_of(&self.states[i]);
-            let before_j = self.protocol.rank_of(&self.states[j]);
-            self.interact_observed(i, j);
-            tracker.update(before_i, self.protocol.rank_of(&self.states[i]));
-            tracker.update(before_j, self.protocol.rank_of(&self.states[j]));
-            if M::ENABLED {
-                self.note_step_metrics();
-            }
-            self.poll_faults();
+            self.step_ranked(&mut tracker);
             if self.faults.fired_count() != seen {
                 for f in &self.faults.log()[seen..] {
                     recovery.on_fault(f.action, f.agents, f.at);
                 }
                 seen = self.faults.fired_count();
-                tracker = RankTracker::new(n);
-                for s in &self.states {
-                    tracker.add(self.protocol.rank_of(s));
-                }
+                tracker = self.build_tracker();
             }
             let ranked = tracker.is_correct();
             recovery.observe_step(ranked, tracker.count_of(1) == 1);

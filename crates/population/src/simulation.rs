@@ -11,7 +11,7 @@ use crate::observer::{NoopObserver, Observer};
 use crate::protocol::{Protocol, RankingProtocol};
 use crate::runner::rng_from_seed;
 use crate::scheduler::{Reliability, Scheduler, SchedulerPolicy};
-use crate::timeline::{snapshot_states, TimelineObserver};
+use crate::timeline::{snapshot_states, TimelineCheckpoint, TimelineObserver};
 use crate::tracker::RankTracker;
 
 /// The result of running a simulation toward a goal with a bounded budget of
@@ -442,19 +442,20 @@ impl<P: Protocol, O: Observer<P>, F: FaultSchedule<P>, S: SchedulerPolicy, M: Me
     }
 
     /// Polls the fault schedule at the current interaction count, reporting
-    /// any fired fault to the observer. Returns the number of corrupted
-    /// agents (0 when nothing fired). With [`NoFaults`] this is a no-op that
-    /// the compiler removes — the `F::ACTIVE` gate is an associated const.
-    pub(crate) fn poll_faults(&mut self) -> usize {
+    /// any fired fault to the observer. Returns whether a fault fired. With
+    /// [`NoFaults`] this is a no-op that the compiler removes — the
+    /// `F::ACTIVE` gate is an associated const.
+    pub(crate) fn poll_faults(&mut self) -> bool {
         if !F::ACTIVE {
-            return 0;
+            return false;
         }
         let fired_before = self.faults.fired_count();
         let corrupted = self.faults.poll(&self.protocol, &mut self.states, self.interactions);
-        if self.faults.fired_count() != fired_before {
+        let fired = self.faults.fired_count() != fired_before;
+        if fired {
             self.observer.on_fault(corrupted, self.interactions);
         }
-        corrupted
+        fired
     }
 
     fn apply(&mut self, i: usize, j: usize) {
@@ -541,7 +542,7 @@ impl<
         max_interactions: u64,
         confirm_window: u64,
     ) -> RunOutcome {
-        self.ranked_loop(max_interactions, confirm_window, None)
+        ranked_loop(self, max_interactions, confirm_window, None)
     }
 
     /// Like [`Simulation::run_until_stably_ranked`], but additionally
@@ -559,105 +560,7 @@ impl<
         confirm_window: u64,
         timeline: &mut TimelineObserver,
     ) -> RunOutcome {
-        self.ranked_loop(max_interactions, confirm_window, Some(timeline))
-    }
-
-    fn ranked_loop(
-        &mut self,
-        max_interactions: u64,
-        confirm_window: u64,
-        mut timeline: Option<&mut TimelineObserver>,
-    ) -> RunOutcome {
-        let n = self.protocol.population_size();
-        assert_eq!(n, self.states.len(), "protocol configured for a different population size");
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        let mut converged_at: Option<u64> = None;
-        let mut window = if M::ENABLED { Some(Instant::now()) } else { None };
-        let outcome = loop {
-            if let Some(tl) = timeline.as_deref_mut() {
-                if tl.is_due(self.interactions) {
-                    let observe_started = if M::ENABLED { Some(Instant::now()) } else { None };
-                    tl.record(snapshot_states(&self.protocol, &self.states, self.interactions));
-                    if let Some(t0) = observe_started {
-                        self.metrics.on_section(Section::Observe, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            match converged_at {
-                Some(t0) => {
-                    if self.interactions - t0 >= confirm_window {
-                        self.observer.on_converged(t0);
-                        if F::ACTIVE {
-                            self.faults.notify_converged(t0);
-                        }
-                        break RunOutcome::Converged { interactions: t0 };
-                    }
-                }
-                None => {
-                    if tracker.is_correct() {
-                        converged_at = Some(self.interactions);
-                        if confirm_window == 0 {
-                            self.observer.on_converged(self.interactions);
-                            if F::ACTIVE {
-                                self.faults.notify_converged(self.interactions);
-                            }
-                            break RunOutcome::Converged { interactions: self.interactions };
-                        }
-                    }
-                }
-            }
-            if self.interactions >= max_interactions {
-                self.observer.on_exhausted(self.interactions);
-                break RunOutcome::Exhausted { interactions: self.interactions };
-            }
-            let (i, j) = self.scheduler.sample_at(&mut self.rng, self.interactions);
-            // Rank tracking needs before/after snapshots around the
-            // transition, so this loop drives `interact_observed` directly
-            // instead of `apply` (the fault poll below reacts to corruption
-            // by rebuilding the tracker).
-            let before_i = self.protocol.rank_of(&self.states[i]);
-            let before_j = self.protocol.rank_of(&self.states[j]);
-            self.interact_observed(i, j);
-            let after_i = self.protocol.rank_of(&self.states[i]);
-            let after_j = self.protocol.rank_of(&self.states[j]);
-            tracker.update(before_i, after_i);
-            tracker.update(before_j, after_j);
-            if M::ENABLED {
-                self.note_step_metrics();
-                if self.interactions.is_multiple_of(AGENT_FLUSH_EVERY) {
-                    if let Some(w) = window.as_mut() {
-                        self.metrics.on_section(Section::Transition, w.elapsed().as_nanos() as u64);
-                        *w = Instant::now();
-                    }
-                }
-            }
-            if F::ACTIVE {
-                let fired_before = self.faults.fired_count();
-                self.poll_faults();
-                if self.faults.fired_count() != fired_before {
-                    // A fault overwrote arbitrary agents: the incremental
-                    // histogram is stale, and any in-progress confirmation
-                    // window no longer describes this configuration.
-                    tracker = RankTracker::new(n);
-                    for s in &self.states {
-                        tracker.add(self.protocol.rank_of(s));
-                    }
-                    converged_at = None;
-                }
-            }
-            if converged_at.is_some() && !tracker.is_correct() {
-                // The "stable" configuration broke inside the confirmation
-                // window — it was not stable after all; keep searching.
-                converged_at = None;
-            }
-        };
-        if let Some(tl) = timeline {
-            tl.seal(snapshot_states(&self.protocol, &self.states, self.interactions));
-        }
-        outcome
+        ranked_loop(self, max_interactions, confirm_window, Some(timeline))
     }
 
     /// Number of agents currently outputting leader (rank 1).
@@ -667,39 +570,167 @@ impl<
 
     /// Whether the configuration is currently correctly ranked.
     pub fn is_ranked(&self) -> bool {
-        let n = self.protocol.population_size();
-        let mut tracker = RankTracker::new(n);
-        for s in &self.states {
-            tracker.add(self.protocol.rank_of(s));
-        }
-        tracker.is_correct()
+        self.build_tracker().is_correct()
     }
 }
 
-/// One interaction between agents `i` and `j` of an explicit state slice
-/// under a [`Reliability`] model, for run loops that manage their own state
-/// storage (the count-based backend's non-uniform fallback). Returns whether
-/// the transition was applied (i.e. not dropped by omission).
-pub(crate) fn interact_reliably<P: Protocol>(
-    protocol: &P,
-    states: &mut [P::State],
-    i: usize,
-    j: usize,
-    reliability: Reliability,
-    rng: &mut SmallRng,
-) -> bool {
-    if reliability.drops(rng) {
-        return false;
+impl<P, O, F, S, M> RankedStep<P> for Simulation<P, O, F, S, M>
+where
+    P: RankingProtocol,
+    O: Observer<P>,
+    F: FaultSchedule<P>,
+    S: SchedulerPolicy,
+    M: MetricsSink,
+{
+    type Observer = O;
+    type Faults = F;
+    type Metrics = M;
+
+    fn interactions(&self) -> u64 {
+        self.interactions
     }
-    let (a, b) = pair_mut(states, i, j);
-    if reliability.one_way {
-        let saved = b.clone();
-        protocol.interact(a, b, rng);
-        *b = saved;
-    } else {
-        protocol.interact(a, b, rng);
+
+    fn build_tracker(&self) -> RankTracker {
+        RankTracker::from_counts(&self.protocol, self.states.iter().map(|s| (s, 1)))
     }
-    true
+
+    #[inline]
+    fn step_ranked(&mut self, tracker: &mut RankTracker) -> bool {
+        let (i, j) = self.scheduler.sample_at(&mut self.rng, self.interactions);
+        // Rank tracking needs before/after snapshots around the transition
+        // alone, so this drives `interact_observed` directly instead of
+        // `apply` and polls faults after the tracker update.
+        let before_i = self.protocol.rank_of(&self.states[i]);
+        let before_j = self.protocol.rank_of(&self.states[j]);
+        self.interact_observed(i, j);
+        tracker.update(before_i, self.protocol.rank_of(&self.states[i]));
+        tracker.update(before_j, self.protocol.rank_of(&self.states[j]));
+        if M::ENABLED {
+            self.note_step_metrics();
+        }
+        self.poll_faults()
+    }
+
+    fn checkpoint(&self) -> TimelineCheckpoint {
+        snapshot_states(&self.protocol, &self.states, self.interactions)
+    }
+
+    fn plugins(&mut self) -> (&mut O, &mut F, &mut M) {
+        (&mut self.observer, &mut self.faults, &mut self.metrics)
+    }
+}
+
+/// The per-backend half of a stable-ranking run: one interaction reporting
+/// both participants' rank changes and any fault, the tracker rebuild, and
+/// the plug-ins [`ranked_loop`] notifies. Implemented by the agent
+/// array, by the count backend's exact step, and by the count backend's
+/// materialized-agent view for non-uniform schedulers.
+pub(crate) trait RankedStep<P: RankingProtocol> {
+    /// The observer told about convergence or exhaustion.
+    type Observer: Observer<P>;
+    /// The fault schedule armed on convergence.
+    type Faults: FaultSchedule<P>;
+    /// The sink timing the loop's sections.
+    type Metrics: MetricsSink;
+
+    /// Interactions performed so far.
+    fn interactions(&self) -> u64;
+
+    /// The rank histogram of the current configuration against the
+    /// protocol's configured size — the backend's one tracker rebuild.
+    fn build_tracker(&self) -> RankTracker;
+
+    /// Performs one scheduled interaction, reports both participants'
+    /// rank changes to `tracker`, then polls the fault schedule (reporting
+    /// a fired fault to the observer). Returns whether a fault fired, which
+    /// leaves `tracker` stale.
+    fn step_ranked(&mut self, tracker: &mut RankTracker) -> bool;
+
+    /// A timeline checkpoint of the current configuration.
+    fn checkpoint(&self) -> TimelineCheckpoint;
+
+    /// The observer, fault schedule and metrics sink.
+    fn plugins(&mut self) -> (&mut Self::Observer, &mut Self::Faults, &mut Self::Metrics);
+}
+
+/// The stable-ranking loop of both backends (see
+/// [`Simulation::run_until_stably_ranked`]): steps until the tracker
+/// reports a correct ranking that survives `confirm_window` further
+/// interactions, recording `timeline` checkpoints when they fall due and
+/// sealing the end-of-run configuration into it.
+pub(crate) fn ranked_loop<P: RankingProtocol, B: RankedStep<P>>(
+    sim: &mut B,
+    max_interactions: u64,
+    confirm_window: u64,
+    mut timeline: Option<&mut TimelineObserver>,
+) -> RunOutcome {
+    let metered = <B::Metrics as MetricsSink>::ENABLED;
+    let mut tracker = sim.build_tracker();
+    assert_eq!(
+        tracker.agents(),
+        tracker.rank_count(),
+        "protocol configured for a different population size"
+    );
+    let mut converged_at: Option<u64> = None;
+    let mut window = if metered { Some(Instant::now()) } else { None };
+    let outcome = loop {
+        let now = sim.interactions();
+        if let Some(tl) = timeline.as_deref_mut() {
+            if tl.is_due(now) {
+                let observe_started = if metered { Some(Instant::now()) } else { None };
+                tl.record(sim.checkpoint());
+                if let Some(t0) = observe_started {
+                    sim.plugins().2.on_section(Section::Observe, t0.elapsed().as_nanos() as u64);
+                }
+            }
+        }
+        match converged_at {
+            Some(t0) if now - t0 >= confirm_window => {
+                break RunOutcome::Converged { interactions: t0 };
+            }
+            None if tracker.is_correct() => {
+                if confirm_window == 0 {
+                    break RunOutcome::Converged { interactions: now };
+                }
+                converged_at = Some(now);
+            }
+            _ => {}
+        }
+        if now >= max_interactions {
+            break RunOutcome::Exhausted { interactions: now };
+        }
+        let fired = sim.step_ranked(&mut tracker);
+        if metered && sim.interactions().is_multiple_of(AGENT_FLUSH_EVERY) {
+            if let Some(w) = window.as_mut() {
+                sim.plugins().2.on_section(Section::Transition, w.elapsed().as_nanos() as u64);
+                *w = Instant::now();
+            }
+        }
+        if fired {
+            // A fault overwrote arbitrary agents: the incremental histogram
+            // is stale, and any in-progress confirmation window no longer
+            // describes this configuration.
+            tracker = sim.build_tracker();
+            converged_at = None;
+        }
+        if converged_at.is_some() && !tracker.is_correct() {
+            // The "stable" configuration broke inside the confirmation
+            // window — it was not stable after all; keep searching.
+            converged_at = None;
+        }
+    };
+    let (observer, faults, _) = sim.plugins();
+    match outcome {
+        RunOutcome::Converged { interactions } => {
+            observer.on_converged(interactions);
+            faults.notify_converged(interactions);
+        }
+        RunOutcome::Exhausted { interactions } => observer.on_exhausted(interactions),
+    }
+    if let Some(tl) = timeline {
+        tl.seal(sim.checkpoint());
+    }
+    outcome
 }
 
 /// Borrows two distinct elements of a slice mutably.

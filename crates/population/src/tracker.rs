@@ -7,6 +7,8 @@
 //! agent's output changes, so stabilization times can be measured exactly
 //! even for the Θ(n²)-time baseline at large `n`.
 
+use crate::protocol::RankingProtocol;
+
 /// Histogram of rank outputs with an O(1) correctness predicate.
 #[derive(Debug, Clone)]
 pub struct RankTracker {
@@ -29,9 +31,37 @@ impl RankTracker {
         RankTracker { counts: vec![0; n], ranks_with_one: 0, agents: 0 }
     }
 
+    /// The rank histogram of `protocol`'s ranks `1..=n` over `(state,
+    /// agents)` pairs: an agent array passes each agent with count 1, the
+    /// count backend each occupied state with its count. Every tracker
+    /// rebuild goes through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol is configured for `n == 0` or reports a rank
+    /// outside `1..=n`.
+    pub(crate) fn from_counts<'a, P: RankingProtocol>(
+        protocol: &P,
+        counts: impl IntoIterator<Item = (&'a P::State, u64)>,
+    ) -> Self
+    where
+        P::State: 'a,
+    {
+        let mut tracker = RankTracker::new(protocol.population_size());
+        for (state, k) in counts {
+            tracker.add_many(protocol.rank_of(state), k);
+        }
+        tracker
+    }
+
     /// The number of ranks tracked (`n`).
     pub fn rank_count(&self) -> usize {
         self.counts.len()
+    }
+
+    /// The number of registered agents, including those outputting `None`.
+    pub(crate) fn agents(&self) -> usize {
+        self.agents
     }
 
     /// Registers one agent's initial output.
