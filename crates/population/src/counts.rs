@@ -27,7 +27,8 @@
 //! `m = 2T`. Protocols that declare
 //! [`DETERMINISTIC_INTERACT`](crate::Protocol::DETERMINISTIC_INTERACT)
 //! additionally get their state-pair transitions memoized into a dense
-//! table, reducing the per-interaction work to index arithmetic.
+//! table while the entry table holds at most 64 entries, reducing the
+//! per-interaction work to index arithmetic.
 //!
 //! # Where compression wins — and where it cannot
 //!
@@ -39,12 +40,14 @@
 //!   and batches amortize the sampling cost.
 //! * **Ranked SSR configurations do not.** A correctly ranked configuration
 //!   of the paper's protocols has `n` pairwise-distinct states by
-//!   definition, so `CountConfig` degenerates to `n` entries of count 1 and
-//!   every weighted draw scans `O(n)` entries. Ranked runs therefore use
-//!   [`BatchSimulation::run_until_stably_ranked`], which steps through the
-//!   exact fallback — correct, but no faster than the agent array — in the
-//!   one stable-ranking loop both backends run. The `scaling_frontier`
-//!   experiment measures both regimes honestly.
+//!   definition, so `CountConfig` degenerates to `n` entries of count 1.
+//!   Ranked runs therefore use [`BatchSimulation::run_until_stably_ranked`],
+//!   which steps through the exact fallback in the one stable-ranking loop
+//!   both backends run. Its two weighted draws are Fenwick-tree descents,
+//!   `O(log support)` each, but every step still pays hashing and tree
+//!   updates the agent array does not, so it stays slower than the agent
+//!   array. Batch draws still scan the entry list, `O(support)` each. The
+//!   `scaling_frontier` experiment measures both regimes.
 //!
 //! Fault injection ([`crate::FaultPlan`]) composes with this backend by
 //! state-count: when a fault is due, the configuration is materialized into
@@ -82,12 +85,26 @@ use crate::tracker::RankTracker;
 /// Entries whose count drops to zero remain as tombstones until the
 /// internal `compact` step reclaims them; the simulation compacts between
 /// batches, when no entry index is live.
+///
+/// A Fenwick (binary-indexed) tree over the entry counts answers the
+/// position queries behind exact draws in `O(log raw_len)`. The tree is
+/// derived state, updated with every count change and rebuilt at
+/// compaction. It is never serialized, so snapshots are unchanged.
 #[derive(Debug, Clone)]
 pub struct CountConfig<S> {
     entries: Vec<(S, u64)>,
     index: HashMap<S, usize>,
+    /// `tree[k - 1]` holds the count sum of entries `k - lowbit(k) .. k`
+    /// (one-based node `k`, zero-based entry range).
+    tree: Vec<u64>,
     population: u64,
     zero_entries: usize,
+}
+
+/// The lowest set bit of a Fenwick node number.
+#[inline]
+fn lowbit(k: usize) -> usize {
+    k & k.wrapping_neg()
 }
 
 impl<S: Clone + std::fmt::Debug + Eq + Hash> Default for CountConfig<S> {
@@ -99,7 +116,13 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> Default for CountConfig<S> {
 impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
     /// Creates an empty configuration.
     pub fn new() -> Self {
-        CountConfig { entries: Vec::new(), index: HashMap::new(), population: 0, zero_entries: 0 }
+        CountConfig {
+            entries: Vec::new(),
+            index: HashMap::new(),
+            tree: Vec::new(),
+            population: 0,
+            zero_entries: 0,
+        }
     }
 
     /// Compresses an agent array into counts. Entry order is first-seen
@@ -176,6 +199,16 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
         self.index.insert(state.clone(), idx);
         self.entries.push((state, 0));
         self.zero_entries += 1;
+        // The new node's own count is 0, so its range sum is the sum of its
+        // children k − 1, k − 2, k − 4, … below lowbit(k).
+        let k = idx + 1;
+        let mut sum = 0;
+        let mut step = 1;
+        while step < lowbit(k) {
+            sum += self.tree[k - step - 1];
+            step <<= 1;
+        }
+        self.tree.push(sum);
         idx
     }
 
@@ -203,6 +236,11 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
         }
         self.entries[idx].1 += k;
         self.population += k;
+        let mut node = idx + 1;
+        while node <= self.tree.len() {
+            self.tree[node - 1] += k;
+            node += lowbit(node);
+        }
     }
 
     pub(crate) fn remove_at(&mut self, idx: usize, k: u64) {
@@ -216,6 +254,11 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
             self.zero_entries += 1;
         }
         self.population -= k;
+        let mut node = idx + 1;
+        while node <= self.tree.len() {
+            self.tree[node - 1] -= k;
+            node += lowbit(node);
+        }
     }
 
     /// Moves one agent from entry `from` to entry `to`.
@@ -227,33 +270,44 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
         self.add_at(to, 1);
     }
 
+    /// Number of agents in the entries before `idx`.
+    fn prefix(&self, idx: usize) -> u64 {
+        let mut sum = 0;
+        let mut node = idx;
+        while node > 0 {
+            sum += self.tree[node - 1];
+            node -= lowbit(node);
+        }
+        sum
+    }
+
     /// Entry index of the agent with zero-based position `r` when agents
-    /// are laid out in entry order.
+    /// are laid out in entry order. A Fenwick descent to the last entry
+    /// whose prefix is at most `r`, so tombstones are never returned.
     ///
     /// # Panics
     ///
     /// Panics if `r >= population()`.
     pub(crate) fn locate(&self, mut r: u64) -> usize {
-        for (idx, (_, c)) in self.entries.iter().enumerate() {
-            if r < *c {
-                return idx;
+        assert!(r < self.population, "position beyond the population");
+        let len = self.tree.len();
+        let mut pos = 0;
+        let mut step = 1 << len.ilog2();
+        while step > 0 {
+            let next = pos + step;
+            if next <= len && self.tree[next - 1] <= r {
+                pos = next;
+                r -= self.tree[next - 1];
             }
-            r -= *c;
+            step >>= 1;
         }
-        panic!("position beyond the population");
+        pos
     }
 
     /// Like [`CountConfig::locate`], but with one agent of entry
     /// `skip_one_of` excluded from the layout (the responder draw).
-    pub(crate) fn locate_excluding(&self, mut r: u64, skip_one_of: usize) -> usize {
-        for (idx, (_, c)) in self.entries.iter().enumerate() {
-            let c = *c - u64::from(idx == skip_one_of);
-            if r < c {
-                return idx;
-            }
-            r -= c;
-        }
-        panic!("position beyond the population");
+    pub(crate) fn locate_excluding(&self, r: u64, skip_one_of: usize) -> usize {
+        self.locate(if r >= self.prefix(skip_one_of) { r + 1 } else { r })
     }
 
     /// Drops tombstone entries and reindexes, preserving the first-seen
@@ -270,6 +324,15 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
             self.index.insert(s.clone(), idx);
         }
         self.zero_entries = 0;
+        // Rebuild the tree in O(len): each node passes its sum to its parent.
+        self.tree.clear();
+        self.tree.extend(self.entries.iter().map(|(_, c)| *c));
+        for node in 1..=self.tree.len() {
+            let parent = node + lowbit(node);
+            if parent <= self.tree.len() {
+                self.tree[parent - 1] += self.tree[node - 1];
+            }
+        }
         true
     }
 
@@ -279,10 +342,18 @@ impl<S: Clone + std::fmt::Debug + Eq + Hash> CountConfig<S> {
     }
 }
 
-/// Upper bound on the dense transition-memo side length. A ranked SSR run
-/// can occupy arbitrarily many distinct states; beyond this the memo is
-/// disabled rather than allocating an `O(|states|²)` table.
-const MEMO_MAX_STRIDE: usize = 1 << 10;
+/// Upper bound on the dense transition-memo side length: at most 64
+/// entries, a 32 KiB table of `u64` cells, small enough to stay in cache.
+/// A ranked SSR run occupies ≈ n distinct states; beyond this the memo is
+/// disabled rather than allocating an `O(|states|²)` table. Under the old
+/// cap of 1024 entries (8 MB), Optimal-Silent-SSR at n = 400 on the counts
+/// backend kept a 2–8 MB table that hit on 18% of lookups and was
+/// re-zeroed at each of its ~108 compactions per trial; without it the
+/// benchmark's `rank-counts` peak RSS fell from 13.6 to 3.5 MB and its
+/// exact steps got faster. The small-support protocols the memo serves
+/// (the two-state epidemic, loose leader election at ≤ ~23 states) fit
+/// well inside 64 entries.
+const MEMO_MAX_STRIDE: usize = 1 << 6;
 
 /// Dense memo of deterministic state-pair transitions, keyed by entry-index
 /// pairs. Cell encoding: `0` = unknown, else `1 + (out_a << 32 | out_b)`.
@@ -725,6 +796,17 @@ where
                 self.metrics.on_memo_lookup(false);
             }
         }
+        self.interact_and_memoize(ia, ib)
+    }
+
+    /// The memo-miss half of [`BatchSimulation::transition`]: applies the
+    /// protocol and memoizes the result. Kept out of line so the memo-hit
+    /// path the batch loop runs stays small: with it inlined, adding the
+    /// Fenwick tree made the batch loop, whose own code it does not touch,
+    /// 10–25% slower on epidemic/counts or oss/counts (`perf_baseline
+    /// --quick`, 2 cores), depending on what else the compiler inlined.
+    #[inline(never)]
+    fn interact_and_memoize(&mut self, ia: usize, ib: usize) -> (usize, usize) {
         let mut a = self.config.state_at(ia).clone();
         let mut b = self.config.state_at(ib).clone();
         self.protocol.interact(&mut a, &mut b, &mut self.rng);
@@ -1127,8 +1209,9 @@ where
     /// [`crate::Simulation::run_until_stably_ranked`]: the same loop
     /// (confirmation window, fault-triggered tracker rebuilds), stepped by
     /// the exact one-at-a-time fallback — a ranked configuration has `n`
-    /// distinct states, so batching cannot help here and the honest cost is
-    /// `O(support)` per interaction.
+    /// distinct states, so batching cannot help here. Each interaction
+    /// costs `O(log support)` in the configuration: a prefix sum, two
+    /// Fenwick descents and up to four tree updates.
     pub fn run_until_stably_ranked(
         &mut self,
         max_interactions: u64,
@@ -1420,6 +1503,85 @@ mod tests {
         // With one agent of entry 0 excluded, position 2 is the 9.
         assert_eq!(config.locate_excluding(2, 0), 1);
         assert_eq!(config.locate_excluding(1, 0), 0);
+    }
+
+    /// The linear scan `locate` used before the Fenwick tree: the reference.
+    fn locate_by_scan(config: &CountConfig<usize>, mut r: u64) -> usize {
+        for (idx, (_, c)) in config.entries.iter().enumerate() {
+            if r < *c {
+                return idx;
+            }
+            r -= *c;
+        }
+        panic!("position beyond the population");
+    }
+
+    /// The linear scan `locate_excluding` used before the Fenwick tree.
+    fn locate_excluding_by_scan(config: &CountConfig<usize>, mut r: u64, skip: usize) -> usize {
+        for (idx, (_, c)) in config.entries.iter().enumerate() {
+            let c = *c - u64::from(idx == skip);
+            if r < c {
+                return idx;
+            }
+            r -= c;
+        }
+        panic!("position beyond the population");
+    }
+
+    #[test]
+    fn fenwick_queries_match_the_linear_scans_under_random_edits() {
+        let mut rng = rng_from_seed(0xfe2);
+        let mut config = CountConfig::new();
+        let mut compactions = 0;
+        let occupied = |config: &CountConfig<usize>, rng: &mut SmallRng| {
+            locate_by_scan(config, rng.gen_range(0..config.population()))
+        };
+        for step in 0..1500 {
+            match rng.gen_range(0..10) {
+                0..=2 if config.population() < 80 => {
+                    config.add(rng.gen_range(0..24), rng.gen_range(1..4));
+                }
+                0..=3 if config.population() > 0 => {
+                    let idx = occupied(&config, &mut rng);
+                    let k = rng.gen_range(1..=config.count_at(idx));
+                    let state = *config.state_at(idx);
+                    config.remove(&state, k);
+                }
+                4 => {
+                    config.ensure_entry(rng.gen_range(0..32));
+                }
+                5..=7 if config.population() > 0 => {
+                    let from = occupied(&config, &mut rng);
+                    let to = rng.gen_range(0..config.raw_len());
+                    config.transfer(from, to);
+                }
+                8 if rng.gen_bool(0.3) => {
+                    compactions += usize::from(config.compact());
+                }
+                _ => {}
+            }
+            let n = config.population();
+            for r in 0..n {
+                assert_eq!(config.locate(r), locate_by_scan(&config, r), "step {step}, r {r}");
+            }
+            for skip in (0..config.raw_len()).filter(|&i| config.count_at(i) > 0) {
+                for r in 0..n - 1 {
+                    assert_eq!(
+                        config.locate_excluding(r, skip),
+                        locate_excluding_by_scan(&config, r, skip),
+                        "step {step}, r {r}, skip {skip}"
+                    );
+                }
+            }
+        }
+        assert!(compactions > 10, "only {compactions} compactions ran");
+    }
+
+    #[test]
+    #[should_panic(expected = "position beyond the population")]
+    fn removing_an_agent_beyond_the_population_panics() {
+        let mut sim = BatchSimulation::new(FightProtocol, vec![Fight::Leader; 4], 1);
+        sim.remove_agent_at(4);
     }
 
     #[test]
